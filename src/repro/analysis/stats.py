@@ -10,7 +10,6 @@ exactly why the paper validates selections across folds).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["accuracy_p_value", "significant_voxels", "benjamini_hochberg"]
 
@@ -23,8 +22,10 @@ def accuracy_p_value(accuracy: float, n_samples: int, chance: float = 0.5) -> fl
         raise ValueError("n_samples must be >= 1")
     if not 0.0 < chance < 1.0:
         raise ValueError("chance must be in (0, 1)")
+    from scipy.stats import binomtest
+
     successes = int(round(accuracy * n_samples))
-    result = stats.binomtest(successes, n_samples, chance, alternative="greater")
+    result = binomtest(successes, n_samples, chance, alternative="greater")
     return float(result.pvalue)
 
 

@@ -854,6 +854,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         report["dataset"] = str(dataset)
         report["variant"] = config.variant
         report["emitter"] = config.resolved_emitter()
+        # Which batched-SMO loop(s) ran: "native" and/or "numpy".
+        report["smo_impl"] = sorted({
+            s.attrs["impl"] for s in spans
+            if s.name == "smo.solve_batch" and "impl" in s.attrs
+        })
         report["top"] = [
             {"voxel": int(v), "accuracy": float(a)}
             for v, a in zip(top.voxels, top.accuracies)

@@ -22,9 +22,9 @@ problems on the coprocessor:
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Any
 
 import numpy as np
-from scipy import sparse as sp
 
 from .heuristics import SecondOrderSelector
 from .kernels import validate_kernel_matrix
@@ -60,14 +60,16 @@ class SparseNodes:
         """(indices, values) node arrays for sample ``i``."""
         return self._rows[i]
 
-    def to_csr(self) -> sp.csr_matrix:
-        """The samples as a CSR matrix (double precision)."""
+    def to_csr(self) -> Any:
+        """The samples as a scipy CSR matrix (double precision)."""
+        from scipy.sparse import csr_matrix
+
         indptr = np.zeros(self.n_samples + 1, dtype=np.int64)
         for i, (idx, _) in enumerate(self._rows):
             indptr[i + 1] = indptr[i] + idx.size
         indices = np.concatenate([idx for idx, _ in self._rows]) if self.nnz else np.empty(0, np.int32)
         data = np.concatenate([val for _, val in self._rows]) if self.nnz else np.empty(0, np.float64)
-        return sp.csr_matrix(
+        return csr_matrix(
             (data, indices, indptr), shape=(self.n_samples, self.n_features)
         )
 

@@ -21,6 +21,7 @@ through an LRU cache, as LibSVM itself does).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, TypeVar, runtime_checkable
 
@@ -46,7 +47,9 @@ _F = TypeVar("_F", bound=Callable[..., Any])
 
 
 def _traced(
-    name: str, metrics: Callable[[Any], dict[str, float]]
+    name: str,
+    metrics: Callable[[Any], dict[str, float]],
+    attrs: Callable[[Any], dict[str, Any]] | None = None,
 ) -> Callable[[_F], _F]:
     """Record a solve as a kernel span on the ambient tracer, if any.
 
@@ -63,6 +66,8 @@ def _traced(
                 if span is not None:
                     for mname, value in metrics(result).items():
                         span.add_metric(mname, value)
+                    if attrs is not None:
+                        span.attrs.update(attrs(result))
                 return result
 
         return wrapper  # type: ignore[return-value]
@@ -404,8 +409,11 @@ class BatchSMOResult:
     objective: np.ndarray
     #: Final KKT violation gap per problem.
     gap: np.ndarray
-    #: Batch sweeps executed (== max(iterations) unless capped).
+    #: Lock-step batch sweeps the solve amounts to: ``max(iterations)``.
     sweeps: int
+    #: Which iteration loop ran: ``"native"`` (the compiled per-problem
+    #: kernel) or ``"numpy"`` (the vectorized lock-step oracle).
+    impl: str = "numpy"
 
 
 def _batch_calculate_rho(
@@ -430,6 +438,32 @@ def _batch_calculate_rho(
     return np.asarray(np.where(n_free > 0, rho_free, rho_bound), dtype=np.float64)
 
 
+#: Adaptive phase lengths (iterations) shared by both batch loops.
+_PROBE_ITERS = 8
+_COMMIT_ITERS = 64
+
+
+def _first_order_wins(
+    s1: np.ndarray, e1: np.ndarray, s2: np.ndarray, e2: np.ndarray
+) -> np.ndarray:
+    """Adaptive commit rule, without logarithms.
+
+    The per-cost rates are ``log(s/e) / (probe * cost)`` over equally
+    long probes with costs 1 (first order) and 2 (second order), so
+    first order wins iff ``(s1/e1)**2 > s2/e2``, evaluated in float64
+    from the float32 gaps at the start (``s``) and end (``e``) of each
+    probe.  A gap <= 0 at either end makes that rate ``inf``, and
+    ``inf > inf`` is false.  The native kernel evaluates the same rule.
+    """
+    s1, e1, s2, e2 = (np.asarray(v, dtype=np.float64) for v in (s1, e1, s2, e2))
+    inf1 = (s1 <= 0) | (e1 <= 0)
+    inf2 = (s2 <= 0) | (e2 <= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = s1 / e1
+        finite_wins = r1 * r1 > s2 / e2
+    return np.where(inf1 | inf2, inf1 & ~inf2, finite_wins)
+
+
 class _BatchAdaptivePhases:
     """Vectorized mirror of :class:`~repro.svm.heuristics.AdaptiveSelector`.
 
@@ -440,13 +474,19 @@ class _BatchAdaptivePhases:
     per-problem arrays.
     """
 
-    def __init__(self, n_problems: int, probe_iters: int = 8, commit_iters: int = 64):
+    def __init__(
+        self,
+        n_problems: int,
+        probe_iters: int = _PROBE_ITERS,
+        commit_iters: int = _COMMIT_ITERS,
+    ):
         self._probe = probe_iters
         self._commit = commit_iters
         self._phase = "probe_first"
         self._phase_left = probe_iters
         self._gap_start: np.ndarray | None = None
-        self._rate_first = np.zeros(n_problems)
+        #: (start, end) gaps of the last first-order probe.
+        self._first_probe = (np.zeros(n_problems), np.zeros(n_problems))
         #: Committed choice per problem; second-order initially (the
         #: sequential selector's default commitment).
         self.use_second = np.ones(n_problems, dtype=bool)
@@ -458,16 +498,6 @@ class _BatchAdaptivePhases:
             return np.ones_like(self.use_second)
         return self.use_second
 
-    def _rates(self, gap_end: np.ndarray, cost: float) -> np.ndarray:
-        assert self._gap_start is not None
-        start = self._gap_start
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shrink = np.log(
-                np.maximum(start, 1e-300) / np.maximum(gap_end, 1e-300)
-            )
-            rate = shrink / (self._probe * cost)
-        return np.where((start <= 0) | (gap_end <= 0), np.inf, rate)
-
     def step(self, gap: np.ndarray) -> None:
         """Advance one iteration; ``gap`` is this sweep's KKT violation."""
         if self._gap_start is None:
@@ -476,13 +506,13 @@ class _BatchAdaptivePhases:
         if self._phase_left > 0:
             return
         if self._phase == "probe_first":
-            self._rate_first = self._rates(gap, cost=1.0)
+            self._first_probe = (self._gap_start, gap.copy())
             self._phase, self._phase_left = "probe_second", self._probe
         elif self._phase == "probe_second":
-            rate_second = self._rates(gap, cost=2.0)
-            # Mirrors the sequential rule: first order wins only on a
-            # strictly greater per-cost rate.
-            self.use_second = ~(self._rate_first > rate_second)
+            # First order wins only on a strictly greater per-cost rate.
+            self.use_second = ~_first_order_wins(
+                *self._first_probe, self._gap_start, gap
+            )
             self._phase, self._phase_left = "commit", self._commit
         else:
             self._phase, self._phase_left = "probe_first", self._probe
@@ -495,6 +525,7 @@ class _BatchAdaptivePhases:
         "iterations": float(r.iterations.sum()),
         "voxels": float(r.alpha.shape[0]),
     },
+    lambda r: {"impl": r.impl},
 )
 def solve_smo_batch(
     kernels: np.ndarray,
@@ -507,14 +538,29 @@ def solve_smo_batch(
     """Solve ``B`` independent C-SVC duals simultaneously.
 
     The paper keeps 240+ voxel problems resident on the coprocessor with
-    one thread per problem; here the batch axis plays that role: every
-    SMO ingredient — working-set selection, the two-variable analytic
-    update, gradient maintenance — is one vectorized operation across
-    all live problems, so the Python-interpreter cost of an iteration is
-    paid once per *sweep* instead of once per problem.  Problems whose
-    KKT gap drops below ``tol`` freeze (their variables stop moving) and
-    the batch loops until every problem converges or ``max_iter`` sweeps
-    elapse.
+    one thread per problem.  Two iteration loops implement that here:
+
+    * **native** — a small C kernel (``smo_kernel.c``) solves each
+      problem to convergence on its own, with no lock-step sweeps.  It
+      runs when the stack is float32, every kernel entry is finite and
+      the library could be built.  The library is compiled with the
+      system ``cc`` on first use and cached under
+      ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``, else a
+      per-user directory in the temp dir); delete that directory to
+      force a rebuild.  See :mod:`repro.svm.native`.
+    * **numpy** — the oracle, and the path for float64 stacks,
+      non-finite input and hosts without a C compiler (the build
+      failure is reported once as a ``RuntimeWarning``).  Every SMO
+      ingredient — working-set selection, the two-variable analytic
+      update, gradient maintenance — is one vectorized operation across
+      all live problems, so interpreter cost is paid once per *sweep*.
+      Problems whose KKT gap drops below ``tol`` freeze and the batch
+      loops until every problem converges or ``max_iter`` sweeps elapse.
+
+    Both loops give bitwise-identical results; ``impl`` on the result
+    (and on the ``smo.solve_batch`` span) says which one ran.
+    ``sweeps`` is ``max(iterations)``: the lock-step sweep count, which
+    the native loop does not spend on converged problems.
 
     Parameters
     ----------
@@ -535,7 +581,9 @@ def solve_smo_batch(
     A problem solved in a batch follows the same iterate trajectory as
     :func:`solve_smo` on it alone with the matching selector: selection
     argmax/argmin tie-breaks, the update arithmetic, and the float32
-    rounding are identical.
+    rounding are identical.  The adaptive commit decision uses the
+    log-free rule of :func:`_first_order_wins` in both loops, so it does
+    not depend on the platform's float32 ``log``.
     """
     kernels = np.asarray(kernels)
     if kernels.ndim != 3 or kernels.shape[1] != kernels.shape[2]:
@@ -558,10 +606,71 @@ def solve_smo_batch(
         raise ValueError("C must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dtype = kernels.dtype
     if max_iter is None:
         max_iter = max(10_000, 100 * n)
+    if kernels.dtype == np.float32 and np.isfinite(kernels).all():
+        from . import native
 
+        solve = native.kernel.get()
+        if solve is not None:
+            return _solve_smo_batch_native(
+                solve, kernels, y, c, tol, max_iter, selection
+            )
+    return _solve_smo_batch_numpy(kernels, y, c, tol, max_iter, selection)
+
+
+_SELECTION_CODES = {"first": 0, "second": 1, "adaptive": 2}
+
+
+def _solve_smo_batch_native(
+    solve: Callable[..., None],
+    kernels: np.ndarray,
+    y: np.ndarray,
+    c: float,
+    tol: float,
+    max_iter: int,
+    selection: str,
+) -> BatchSMOResult:
+    """The compiled per-problem loop over a validated float32 stack."""
+    b, n = kernels.shape[0], kernels.shape[1]
+    kernels = np.ascontiguousarray(kernels)
+    yf = np.ascontiguousarray(y, dtype=np.float32)
+    diag = np.ascontiguousarray(np.diagonal(kernels, axis1=1, axis2=2))
+    alpha = np.zeros((b, n), dtype=np.float32)
+    grad = np.full((b, n), -1.0, dtype=np.float32)
+    iterations = np.zeros(b, dtype=np.int64)
+    converged = np.zeros(b, dtype=np.uint8)
+    final_gap = np.zeros(b, dtype=np.float64)
+    # The numpy loop tests ``gap >= tol`` on a float32 gap, so ``tol``
+    # is compared in the dtype numpy promotes the pair to.
+    tol_cmp = float(np.result_type(np.float32, tol).type(tol))
+    solve(
+        b, n, kernels, yf, diag, float(np.float32(c)), tol_cmp,
+        math.ceil(max_iter), _SELECTION_CODES[selection],
+        _PROBE_ITERS, _COMMIT_ITERS,
+        alpha, grad, iterations, converged, final_gap,
+    )
+    return _batch_result(
+        yf, alpha, grad, c, iterations, converged.astype(bool), final_gap,
+        impl="native",
+    )
+
+
+def _solve_smo_batch_numpy(
+    kernels: np.ndarray,
+    y: np.ndarray,
+    c: float,
+    tol: float,
+    max_iter: int,
+    selection: str,
+) -> BatchSMOResult:
+    """The vectorized lock-step loop: the oracle the native kernel pins.
+
+    Takes :func:`solve_smo_batch`'s validated arguments: a floating
+    ``(B, n, n)`` stack, ``(B, n)`` labels and an explicit ``max_iter``.
+    """
+    b, n = kernels.shape[0], kernels.shape[1]
+    dtype = kernels.dtype
     yf = np.ascontiguousarray(y, dtype=dtype)
     alpha = np.zeros((b, n), dtype=dtype)
     grad = np.full((b, n), -1.0, dtype=dtype)  # G = Q alpha - e at alpha = 0
@@ -694,17 +803,37 @@ def solve_smo_batch(
                 q_j_rows = yj[:, None] * (yf * k_j)
                 grad += q_i_rows * step_i[:, None] + q_j_rows * step_j[:, None]
 
-    converged = ~live
+    return _batch_result(
+        yf, alpha, grad, c, iterations, ~live, final_gap, impl="numpy"
+    )
+
+
+def _batch_result(
+    yf: np.ndarray,
+    alpha: np.ndarray,
+    grad: np.ndarray,
+    c: float,
+    iterations: np.ndarray,
+    converged: np.ndarray,
+    gap: np.ndarray,
+    impl: str,
+) -> BatchSMOResult:
+    """Assemble a batch result from either loop's final iterate.
+
+    Shared so the native and numpy paths derive ``rho``, ``objective``
+    and ``sweeps`` with the same arithmetic, which the bitwise contract
+    between them relies on.
+    """
     objective = (
         0.5 * (alpha * grad).sum(axis=1) - 0.5 * alpha.sum(axis=1)
     ).astype(np.float64)
-    rho = _batch_calculate_rho(yf, grad, alpha, float(c))
     return BatchSMOResult(
         alpha=alpha,
-        rho=rho,
+        rho=_batch_calculate_rho(yf, grad, alpha, float(c)),
         iterations=iterations,
         converged=converged,
         objective=objective,
-        gap=final_gap,
-        sweeps=sweeps,
+        gap=gap,
+        sweeps=int(iterations.max()) if iterations.size else 0,
+        impl=impl,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.data import save_dataset
+from repro.data import SyntheticConfig, generate_dataset, save_dataset
 from repro.obs.live import SNAPSHOT_SCHEMA
 from repro.obs.live.view import read_snapshots
 
@@ -34,6 +34,19 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
 def dataset_path(tiny_dataset, tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("ds") / "tiny.npz"
     save_dataset(tiny_dataset, path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def eta_dataset_path(tmp_path_factory) -> str:
+    """A run long enough (about 100 uniform tasks, ~2 s) for mid-run
+    snapshots; the tiny dataset scores in ~50 ms, too fast for any."""
+    cfg = SyntheticConfig(
+        n_voxels=2000, n_subjects=4, epochs_per_subject=8, epoch_length=12,
+        n_informative=12, n_groups=3, seed=123, name="eta",
+    )
+    path = tmp_path_factory.mktemp("ds") / "eta.npz"
+    save_dataset(generate_dataset(cfg), path)
     return str(path)
 
 
@@ -84,7 +97,9 @@ class TestSerialLive:
                 golden["progress_keys"]
             )
 
-    def test_eta_converges_on_midrun_snapshots(self, dataset_path, tmp_path):
+    def test_eta_converges_on_midrun_snapshots(
+        self, eta_dataset_path, tmp_path
+    ):
         """Acceptance: past 50% progress the remaining-work ETA must be
         within 50% of the true remaining wall time (known post hoc).
 
@@ -99,7 +114,7 @@ class TestSerialLive:
         for attempt in range(3):
             events = tmp_path / f"eta-{attempt}.jsonl"
             code, _ = _run_cli([
-                "run", dataset_path, "--task-voxels", "5", "--json",
+                "run", eta_dataset_path, "--task-voxels", "20", "--json",
                 "--live-events", str(events), "--live-interval", "0.02",
             ])
             assert code == 0

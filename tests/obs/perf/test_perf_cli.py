@@ -86,16 +86,30 @@ class TestPerfRecord:
 class TestPerfCheckAgainstRealRun:
     def test_second_run_is_drift_free(self, dataset_file, tmp_path,
                                       capsys):
-        """Two runs of identical code+geometry on one machine: all
-        deterministic metrics match exactly, so the gate stays green."""
-        history = tmp_path / "history.jsonl"
-        assert main(_record_args(dataset_file, history)) == 0
-        capsys.readouterr()
-        rc = main(
-            ["perf", "check", str(dataset_file), "--history", str(history),
-             "--name", "smoke", "--task-voxels", "40"]
-        )
-        out = capsys.readouterr().out
+        """Two runs of identical code+geometry on one machine: every
+        deterministic metric matches exactly, on every pair.  Timing
+        metrics keep the ±50% band, but are judged on adjacent
+        (record, check) pairs and re-measured before failing, as the
+        overhead gates do: a loaded box, or a one-time cost in the first
+        run (building the native SMO kernel on a cold cache), is not
+        drift; a slowdown that persists over three pairs is."""
+        for attempt in range(3):
+            history = tmp_path / f"history{attempt}.jsonl"
+            assert main(_record_args(dataset_file, history)) == 0
+            capsys.readouterr()
+            rc = main(
+                ["perf", "check", str(dataset_file), "--history",
+                 str(history), "--name", "smoke", "--task-voxels", "40"]
+            )
+            out = capsys.readouterr().out
+            drifted = [
+                line for line in out.splitlines()
+                if line.strip().startswith("DRIFT ")
+            ]
+            assert not [l for l in drifted if "(deterministic," in l], out
+            if rc == 0:
+                break
+            assert drifted and all("(timing," in l for l in drifted), out
         assert rc == 0, out
         assert "OK: smoke" in out
 

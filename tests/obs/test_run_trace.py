@@ -20,7 +20,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import FCMAConfig
-from repro.data import save_dataset
+from repro.data import SyntheticConfig, generate_dataset, save_dataset
 from repro.exec import RunContext, make_executor
 from repro.obs import SCHEMA, Tracer, build_tree, read_jsonl
 
@@ -173,6 +173,13 @@ class TestCliTraceGolden:
         for stats in report["stages"].values():
             assert sorted(stats) == sorted(golden["stage_keys"])
 
+    def test_report_names_the_smo_loop(self, run_output):
+        from repro.svm import native
+
+        report, _ = run_output
+        expected = "numpy" if native.kernel.get() is None else "native"
+        assert report["smo_impl"] == [expected]
+
     def test_trace_file_matches_golden_schema(self, run_output):
         report, trace_path = run_output
         golden = json.loads(GOLDEN.read_text())
@@ -205,8 +212,19 @@ class TestCliTraceGolden:
 
 
 class TestOverhead:
+    @pytest.fixture(scope="class")
+    def overhead_dataset(self):
+        """A run of ~0.3 s: long enough that a GC pause or a scheduler
+        hiccup is well under the 5 % bound (the tiny dataset scores in
+        ~25 ms with the native SMO kernel)."""
+        return generate_dataset(SyntheticConfig(
+            n_voxels=960, n_subjects=4, epochs_per_subject=8,
+            epoch_length=12, n_informative=12, n_groups=3, seed=123,
+            name="overhead",
+        ))
+
     def test_tracing_costs_under_five_percent(
-        self, tiny_dataset, batched_config
+        self, overhead_dataset, batched_config
     ):
         """Traced vs disabled-tracer wall time on the same run.
 
@@ -216,17 +234,19 @@ class TestOverhead:
         the baseline run adjacent to it in time, so load drift cancels
         within the pair, and the *median* paired difference is immune
         to the occasional scheduler spike that skews means and mins.
+        Fifteen pairs keep that median's own spread well inside the
+        bound on a shared box.
         """
         def run_once(enabled: bool) -> float:
             ctx = RunContext(
                 batched_config, tracer=Tracer(enabled=enabled)
             )
             t0 = time.perf_counter()
-            make_executor("serial").run(tiny_dataset, ctx)
+            make_executor("serial").run(overhead_dataset, ctx)
             return time.perf_counter() - t0
 
         run_once(True)  # warm caches (BLAS threads, preprocessing)
-        pairs = [(run_once(False), run_once(True)) for _ in range(7)]
+        pairs = [(run_once(False), run_once(True)) for _ in range(15)]
         baseline = statistics.median(b for b, _ in pairs)
         overhead = statistics.median(t - b for b, t in pairs)
         assert overhead <= baseline * 0.05, (
