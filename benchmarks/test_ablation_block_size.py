@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from repro.bench import render_table
-from repro.core.correlation import correlate_blocked, normalize_epoch_data
+from repro.core.correlation import normalize_epoch_data
 from repro.data import FACE_SCENE
 from repro.hw import PHI_5110P
 from repro.perf import matmul_model
+from tests.oracles import correlate_blocked
 
 
 @pytest.fixture(scope="module")

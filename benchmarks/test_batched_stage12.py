@@ -21,12 +21,11 @@ import pytest
 from repro.core.blocking import PlanCache, plan_blocks
 from repro.core.correlation import (
     NormalizationWorkspace,
-    correlate_blocked_reference,
     correlate_normalize_batched,
     normalize_epoch_data,
 )
-from repro.core.normalization import MergedNormalizer
 from repro.hw import E5_2670
+from tests.oracles import MergedNormalizer, correlate_blocked_reference
 
 #: Committed floor: the fused path must beat blocked+callback by this.
 SPEEDUP_FLOOR = 3.0

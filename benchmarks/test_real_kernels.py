@@ -11,14 +11,15 @@ equivalence of every optimized/baseline pair under timing pressure.
 import numpy as np
 import pytest
 
-from repro.core.correlation import (
-    correlate_baseline,
-    correlate_blocked,
-    normalize_epoch_data,
-)
-from repro.core.kernels import kernel_matrix_baseline, kernel_matrix_blocked
-from repro.core.normalization import MergedNormalizer, normalize_separated
+from repro.core.correlation import correlate_baseline, normalize_epoch_data
+from repro.core.kernels import kernel_matrix_baseline
+from repro.core.normalization import normalize_separated
 from repro.svm import LibSVMClassifier, PhiSVM, linear_kernel
+from tests.oracles import (
+    MergedNormalizer,
+    correlate_blocked,
+    kernel_matrix_blocked,
+)
 
 
 @pytest.fixture(scope="module")

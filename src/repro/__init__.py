@@ -3,10 +3,10 @@
 A complete reproduction of *"Full Correlation Matrix Analysis of fMRI
 Data on Intel Xeon Phi Coprocessors"* (Wang et al., SC '15): the
 three-stage FCMA pipeline with both the baseline (MKL/LibSVM-style) and
-optimized (blocked/merged/PhiSVM) implementations, the SVM solvers, a
-master-worker parallel runtime, hardware performance models that
-regenerate the paper's instrumentation tables, and a cluster simulator
-that regenerates its scaling results.
+optimized (fused tiled engine, batched PhiSVM) implementations, the SVM
+solvers, a master-worker parallel runtime, hardware performance models
+that regenerate the paper's instrumentation tables, and a cluster
+simulator that regenerates its scaling results.
 
 Quickstart::
 

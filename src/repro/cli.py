@@ -7,7 +7,6 @@ Commands
               subjects, score voxel selection against planted truth,
               and optionally record ``acc.*`` metrics to the history
 ``run``       voxel selection on any executor, with per-stage timings
-``select``    run FCMA voxel selection on a dataset file
 ``offline``   nested leave-one-subject-out analysis
 ``online``    single-subject voxel selection + classifier summary
 ``report``    the paper's Table-1 style instrumentation report
@@ -143,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="communicator timeout in seconds (default: "
                           "FCMA_COMM_TIMEOUT or 120)")
     run.add_argument("--variant",
-                     choices=["optimized", "baseline", "optimized-batched",
+                     choices=["optimized-batched", "baseline",
                               "sparse-batched"],
                      default=None,
-                     help="pipeline variant (default: optimized, or the "
-                          "--emitter's native engine variant)")
+                     help="pipeline variant (default: optimized-batched, "
+                          "or the --emitter's native engine variant)")
     run.add_argument("--emitter",
                      choices=["dense", "csr"],
                      default=None,
@@ -169,6 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON file persisting autotuned blocking plans "
                           "across runs (default: in-memory only)")
     run.add_argument("--top", type=int, default=20, help="voxels to report")
+    run.add_argument("--output", default=None, metavar="CSV",
+                     help="write every voxel's score to CSV "
+                          "(voxel,accuracy; best first)")
     run.add_argument("--seed", type=int, default=None,
                      help="RunContext seed (stochastic components only)")
     run.add_argument("--json", action="store_true",
@@ -197,25 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     wrk.add_argument("--timeout", type=float, default=None,
                      help="communicator timeout in seconds (default: "
                           "FCMA_COMM_TIMEOUT or 120)")
-
-    sel = sub.add_parser("select", help="run voxel selection on a dataset")
-    sel.add_argument("dataset", help="input .npz dataset")
-    sel.add_argument("--top", type=int, default=20, help="voxels to report")
-    sel.add_argument("--variant",
-                     choices=["optimized", "baseline", "optimized-batched",
-                              "sparse-batched"],
-                     default="optimized")
-    sel.add_argument("--threshold", type=float, default=None,
-                     help="sparse-batched: keep normalized correlations "
-                          "with |value| >= THRESHOLD")
-    sel.add_argument("--top-k", type=int, default=None,
-                     help="sparse-batched: keep the K strongest "
-                          "correlations per (voxel, epoch) row")
-    sel.add_argument("--workers", type=int, default=1,
-                     help="process-pool workers (1 = serial)")
-    sel.add_argument("--task-voxels", type=int, default=120)
-    sel.add_argument("--output", default=None,
-                     help="optional CSV of all voxel scores")
 
     off = sub.add_parser("offline", help="nested LOSO analysis")
     off.add_argument("dataset")
@@ -328,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_run_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--variant",
-                       choices=["optimized", "baseline", "optimized-batched",
+                       choices=["optimized-batched", "baseline",
                                 "sparse-batched"],
                        default="optimized-batched")
         p.add_argument("--task-voxels", type=int, default=120)
@@ -743,8 +726,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if variant is None:
         # --emitter alone implies its native engine variant; config
         # validation rejects any explicit variant/emitter mismatch.
-        variant = {"dense": "optimized-batched", "csr": "sparse-batched"}.get(
-            args.emitter, "optimized"
+        variant = (
+            "sparse-batched" if args.emitter == "csr" else "optimized-batched"
         )
     config = FCMAConfig(
         variant=variant,
@@ -816,6 +799,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ctx.tracer.remove_listener(inc_writer.on_span_close)
             inc_writer.close()
     top = scores.top(args.top)
+    if args.output:
+        _write_scores_csv(scores, args.output)
 
     trace_info = None
     history_path = None
@@ -895,6 +880,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"({trace_info['format']}) -> {trace_info['path']}")
     if history_path is not None:
         print(f"history: appended '{args.history_name}' -> {history_path}")
+    if args.output:
+        print(f"wrote all {len(scores)} scores to {args.output}")
     live_line = live.summary_line()
     if live_line is not None:
         print(live_line)
@@ -906,30 +893,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
-    from .core import FCMAConfig
-    from .data import load_dataset
-    from .exec import RunContext, make_executor
-
-    dataset = load_dataset(args.dataset)
-    config = FCMAConfig(variant=args.variant, task_voxels=args.task_voxels,
-                        threshold=args.threshold, top_k=args.top_k)
-    executor = make_executor("pool" if args.workers > 1 else "serial",
-                             n_workers=args.workers)
-    scores = executor.run(dataset, RunContext(config))
-    top = scores.top(args.top)
-    print(f"dataset: {dataset}")
-    print(f"top {len(top)} voxels by cross-validated accuracy:")
-    for voxel, acc in zip(top.voxels, top.accuracies):
-        print(f"  voxel {voxel:6d}  accuracy {acc:.3f}")
-    if args.output:
-        ordered = scores.sorted_by_accuracy()
-        with open(args.output, "w") as fh:
-            fh.write("voxel,accuracy\n")
-            for voxel, acc in zip(ordered.voxels, ordered.accuracies):
-                fh.write(f"{voxel},{acc:.6f}\n")
-        print(f"wrote all {len(scores)} scores to {args.output}")
-    return 0
+def _write_scores_csv(scores, path: str) -> None:
+    """Every voxel's score as ``voxel,accuracy`` rows, best first."""
+    ordered = scores.sorted_by_accuracy()
+    with open(path, "w") as fh:
+        fh.write("voxel,accuracy\n")
+        for voxel, acc in zip(ordered.voxels, ordered.accuracies):
+            fh.write(f"{voxel},{acc:.6f}\n")
 
 
 def _cmd_offline(args: argparse.Namespace) -> int:
@@ -1405,7 +1375,6 @@ _COMMANDS = {
     "scenarios": _cmd_scenarios,
     "run": _cmd_run,
     "worker": _cmd_worker,
-    "select": _cmd_select,
     "offline": _cmd_offline,
     "online": _cmd_online,
     "rtfmri": _cmd_rtfmri,

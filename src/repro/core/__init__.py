@@ -1,5 +1,5 @@
-"""The FCMA core: the paper's three-stage pipeline and its two
-implementations (baseline and optimized)."""
+"""The FCMA core: the paper's three-stage pipeline, as the Section-3.2
+baseline and the Section-4 optimized (fused tiled engine) implementation."""
 
 from .blocking import (
     BlockingPlan,
@@ -11,8 +11,6 @@ from .blocking import (
 from .correlation import (
     correlate_baseline,
     correlate_batched,
-    correlate_blocked,
-    correlate_blocked_reference,
     correlate_normalize_batched,
     epoch_windows,
     iter_blocks,
@@ -23,11 +21,9 @@ from .kernels import (
     csr_gram_panel,
     kernel_matrix_baseline,
     kernel_matrix_batched,
-    kernel_matrix_blocked,
     symmetrize_from_triangle,
 )
 from .normalization import (
-    MergedNormalizer,
     NormalizationWorkspace,
     fisher_z,
     fuse_normalize_tile,
@@ -60,7 +56,6 @@ from .voxel_selection import (
 __all__ = [
     "BlockingPlan",
     "FCMAConfig",
-    "MergedNormalizer",
     "NormalizationWorkspace",
     "PlanCache",
     "SparseCorrelationResult",
@@ -69,8 +64,6 @@ __all__ = [
     "clear_preprocess_cache",
     "correlate_baseline",
     "correlate_batched",
-    "correlate_blocked",
-    "correlate_blocked_reference",
     "correlate_normalize_batched",
     "correlate_normalize_sparse_batched",
     "csr_gram_panel",
@@ -82,7 +75,6 @@ __all__ = [
     "iter_blocks",
     "kernel_matrix_baseline",
     "kernel_matrix_batched",
-    "kernel_matrix_blocked",
     "make_backend",
     "normalize_epoch_data",
     "normalize_separated",

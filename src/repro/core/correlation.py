@@ -13,12 +13,6 @@ Numerically equivalent paths, slowest to fastest:
 * :func:`correlate_baseline` — one BLAS gemm per epoch writing straight
   into the voxel-major output (the baseline's ``cblas_sgemm`` with
   ``ldc`` striding).
-* :func:`correlate_blocked_reference` — the pre-batching optimized loop
-  of Section 4.2: L2-sized tiles, one tiny gemm per epoch per tile,
-  optional per-tile callback.  Kept verbatim as the benchmark reference
-  for the batched rewrite.
-* :func:`correlate_blocked` — same tiling, but each tile computes **all**
-  of its epochs in one 3D batched matmul instead of a Python loop.
 * :func:`correlate_batched` — the whole task as a single epoch-batched
   matmul ``(E, V, T) @ (E, T, N)`` written straight into the voxel-major
   output through an axis swap.
@@ -33,7 +27,7 @@ corresponding to a single voxel are contiguous" (Fig. 4).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,8 +42,6 @@ __all__ = [
     "epoch_windows",
     "correlate_baseline",
     "correlate_batched",
-    "correlate_blocked",
-    "correlate_blocked_reference",
     "correlate_normalize_batched",
     "iter_blocks",
     "stage1_input_copies",
@@ -117,13 +109,6 @@ def correlate_baseline(z: np.ndarray, assigned: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Callback invoked on each finished tile of the blocked path.
-#: Arguments: (tile, voxel_block, target_block, epoch_block) where
-#: ``tile`` is the float32 view ``out[v0:v1, e0:e1, n0:n1]`` just
-#: computed and may be modified in place (merged normalization).
-TileCallback = Callable[[np.ndarray, tuple[int, int], tuple[int, int], tuple[int, int]], None]
-
-
 def stage1_input_copies(z: np.ndarray) -> int:
     """Hidden array copies the batched gemm makes of this input.
 
@@ -172,104 +157,6 @@ def correlate_batched(
     # the strided voxel-major view.
     panel = z[:, assigned]
     np.matmul(panel, z.swapaxes(1, 2), out=out.swapaxes(0, 1))
-    return out
-
-
-def correlate_blocked(
-    z: np.ndarray,
-    assigned: np.ndarray,
-    voxel_block: int = 16,
-    target_block: int = 512,
-    epoch_block: int | None = None,
-    tile_callback: TileCallback | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Optimized stage 1: L2-sized tiles over (voxels x targets x epochs).
-
-    The loop order mirrors Section 4.2: for each tile of ``voxel_block``
-    assigned voxels by ``target_block`` brain voxels, all ``epoch_block``
-    epochs of the tile are computed before moving on, so the tile is
-    still cache-resident when ``tile_callback`` (the merged stage-2
-    normalization) runs.  Each tile's epochs are computed in **one**
-    batched 3D matmul (``(e, B, T) @ (e, T, B')``) rather than a Python
-    loop — see :func:`correlate_blocked_reference` for the pre-batching
-    per-epoch loop this replaces.  Results equal
-    :func:`correlate_baseline` up to float32 rounding (BLAS may pick
-    different accumulation kernels for different tile shapes; each
-    output element is still the same mathematical dot product).
-
-    ``epoch_block`` defaults to all epochs; the merged path passes one
-    subject's epoch count so a tile holds exactly one normalization
-    population.
-    """
-    z, assigned = _check_stage1_inputs(z, assigned)
-    n_epochs, n_voxels, _ = z.shape
-    if epoch_block is None:
-        epoch_block = n_epochs
-    if voxel_block < 1 or target_block < 1 or epoch_block < 1:
-        raise ValueError("block sizes must be >= 1")
-    shape = (assigned.size, n_epochs, n_voxels)
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    else:
-        _validate_out(out, shape)
-
-    zt = z.swapaxes(1, 2)  # (E, T, N) view, no copy
-    for v0, v1 in iter_blocks(assigned.size, voxel_block):
-        # One contiguous (E, B, T) A-panel per voxel block, hoisted out
-        # of the epoch/target loops (the reference re-sliced it per
-        # epoch per tile).
-        panel = z[:, assigned[v0:v1]]
-        for e0, e1 in iter_blocks(n_epochs, epoch_block):
-            for n0, n1 in iter_blocks(n_voxels, target_block):
-                tile = out[v0:v1, e0:e1, n0:n1]
-                np.matmul(
-                    panel[e0:e1], zt[e0:e1, :, n0:n1], out=tile.swapaxes(0, 1)
-                )
-                if tile_callback is not None:
-                    tile_callback(tile, (v0, v1), (n0, n1), (e0, e1))
-    return out
-
-
-def correlate_blocked_reference(
-    z: np.ndarray,
-    assigned: np.ndarray,
-    voxel_block: int = 16,
-    target_block: int = 512,
-    epoch_block: int | None = None,
-    tile_callback: TileCallback | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The pre-batching blocked loop: one tiny gemm per epoch per tile.
-
-    Preserved verbatim as the reference the batched rewrite is measured
-    against (``benchmarks/test_batched_stage12.py``) and as a bitwise
-    anchor for the tiling semantics.  Use :func:`correlate_blocked` for
-    real work.
-    """
-    z, assigned = _check_stage1_inputs(z, assigned)
-    n_epochs, n_voxels, _ = z.shape
-    if epoch_block is None:
-        epoch_block = n_epochs
-    if voxel_block < 1 or target_block < 1 or epoch_block < 1:
-        raise ValueError("block sizes must be >= 1")
-    shape = (assigned.size, n_epochs, n_voxels)
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    else:
-        _validate_out(out, shape)
-
-    for v0, v1 in iter_blocks(assigned.size, voxel_block):
-        rows = assigned[v0:v1]
-        for e0, e1 in iter_blocks(n_epochs, epoch_block):
-            for n0, n1 in iter_blocks(n_voxels, target_block):
-                tile = out[v0:v1, e0:e1, n0:n1]
-                for e in range(e0, e1):
-                    np.matmul(
-                        z[e, rows], z[e, n0:n1].T, out=tile[:, e - e0, :]
-                    )
-                if tile_callback is not None:
-                    tile_callback(tile, (v0, v1), (n0, n1), (e0, e1))
     return out
 
 

@@ -7,18 +7,17 @@ working set from an ``M x N`` data matrix (~60 MB at paper scale) to an
 ``M x M`` kernel (~160 KB), which is what lets the optimized pipeline
 keep 240+ voxel problems resident on the coprocessor.
 
-Three implementations are provided:
+Two implementations are provided:
 
 * :func:`kernel_matrix_baseline` — one BLAS call per voxel.
-* :func:`kernel_matrix_blocked` — the paper's blocked accumulation
-  (96-column panels feeding a 16x9 register-tiled microkernel), triangle
-  only.
 * :func:`kernel_matrix_batched` — **all V voxel kernels at once** as a
-  stacked ``(V, M, N) @ (V, N, M)`` GEMM (optionally panel-blocked along
-  N), the batch axis that keeps many voxel problems in flight the way
-  the paper keeps 240+ problems resident on the coprocessor.
+  stacked ``(V, M, N) @ (V, N, M)`` GEMM (optionally walked in the
+  paper's 96-deep, triangle-only panels of Fig. 7), the batch axis that
+  keeps many voxel problems in flight the way the paper keeps 240+
+  problems resident on the coprocessor.
 
-All are numerically equivalent up to float32 summation order.
+The unblocked batched slices equal the baseline bitwise (the same GEMM
+per slice); the panel walk agrees up to float32 summation order.
 """
 
 from __future__ import annotations
@@ -32,14 +31,9 @@ from .correlation import iter_blocks
 __all__ = [
     "csr_gram_panel",
     "kernel_matrix_baseline",
-    "kernel_matrix_blocked",
     "kernel_matrix_batched",
     "symmetrize_from_triangle",
 ]
-
-#: Panel depth along the long (N) dimension; "blocks of 96 rows (an
-#: integral multiple of VPU length)" in the paper's Fig. 7 walkthrough.
-PANEL_DEPTH = 96
 
 #: Microkernel output tile (rows x cols of C), the paper's
 #: "auto-generated 16x9x96 assembly-level matrix multiply routine".
@@ -53,62 +47,6 @@ def kernel_matrix_baseline(data: np.ndarray) -> np.ndarray:
         raise ValueError(f"data must be (samples, features), got {data.shape}")
     data = np.ascontiguousarray(data, dtype=np.float32)
     return data @ data.T
-
-
-def kernel_matrix_blocked(
-    data: np.ndarray,
-    panel_depth: int = PANEL_DEPTH,
-    micro_tile: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """Optimized syrk: accumulate 96-deep panels, triangle only.
-
-    Walks the long dimension in ``panel_depth`` slices (each panel is
-    the ``A_local`` buffer of Fig. 7), accumulating partial products
-    into ``C``.  Only the lower triangle is computed ("only upper or
-    lower triangle of the resulting matrix needs to be computed"): each
-    panel's contribution is accumulated as row-band tiles
-    ``C[i0:i1, :i1] += panel[i0:i1] @ panel[:i1]^T`` that stop at the
-    diagonal block, so — unlike a full ``panel @ panel.T`` followed by a
-    mask — only the triangle plus a narrow diagonal band is ever
-    computed, halving the temporary traffic exactly as the paper claims.
-    Passing ``micro_tile`` additionally tiles each panel product into
-    16x9 output blocks, reproducing the microkernel loop structure
-    exactly (slower in Python; used by equivalence tests).
-    """
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError(f"data must be (samples, features), got {data.shape}")
-    if panel_depth < 1:
-        raise ValueError("panel_depth must be >= 1")
-    data = np.ascontiguousarray(data, dtype=np.float32)
-    m, n = data.shape
-    out = np.zeros((m, m), dtype=np.float32)
-
-    if micro_tile is None:
-        row_band = MICRO_TILE[0]
-        for n0, n1 in iter_blocks(n, panel_depth):
-            panel = data[:, n0:n1]  # A_local of Fig. 7: (M, depth)
-            for i0, i1 in iter_blocks(m, row_band):
-                # Row-band tile ending at the diagonal block: every
-                # column strictly right of i1 belongs to the upper
-                # triangle and is never computed.
-                out[i0:i1, :i1] += panel[i0:i1] @ panel[:i1].T
-        # The diagonal bands picked up their (symmetric) upper corners;
-        # drop them before mirroring.
-        out = np.tril(out)
-    else:
-        tr, tc = micro_tile
-        if tr < 1 or tc < 1:
-            raise ValueError("micro_tile entries must be >= 1")
-        for n0, n1 in iter_blocks(n, panel_depth):
-            panel = data[:, n0:n1]
-            for i0, i1 in iter_blocks(m, tr):
-                for j0, j1 in iter_blocks(m, tc):
-                    if j0 > i1 - 1:
-                        continue  # strictly above the diagonal band
-                    out[i0:i1, j0:j1] += panel[i0:i1] @ panel[j0:j1].T
-        out = np.tril(out)
-    return symmetrize_from_triangle(out)
 
 
 def kernel_matrix_batched(
@@ -125,10 +63,9 @@ def kernel_matrix_batched(
     triangle-only row bands across the whole batch at once, mirroring
     the Fig. 7 walk with the batch axis innermost in each BLAS call.
 
-    Per-voxel slices equal :func:`kernel_matrix_baseline` /
-    :func:`kernel_matrix_blocked` outputs up to float32 summation order
-    (bitwise for the unblocked path, which issues the identical GEMM per
-    slice).
+    Per-voxel slices equal :func:`kernel_matrix_baseline` up to float32
+    summation order (bitwise for the unblocked path, which issues the
+    identical GEMM per slice).
 
     ``data`` may also be a :class:`repro.core.sparse.SparseCorrelationResult`,
     in which case each voxel's ``(M, N)`` CSR row band is Gram-ed as

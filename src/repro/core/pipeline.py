@@ -8,8 +8,9 @@ accuracies the worker would send back to the master.
 
 :class:`FCMAConfig` selects between the *baseline* implementation
 (per-epoch gemm, separated normalization, LibSVM-like solver — Section
-3.2) and the *optimized* one (L2-blocked tiles, merged normalization,
-blocked syrk, PhiSVM — Section 4); both produce the same voxel ranking.
+3.2) and the optimized one, ``optimized-batched`` (the tiled engine
+normalizing L2-resident tiles, stacked-GEMM kernels, batched PhiSVM —
+Section 4); both produce the same voxel ranking.
 """
 
 from __future__ import annotations
@@ -52,22 +53,24 @@ _NATIVE_EMITTERS = {
 class FCMAConfig:
     """Knobs of the single-worker pipeline.
 
-    The defaults are the paper's optimized configuration.  Setting
-    ``variant="baseline"`` switches all three stages to the Section 3.2
-    implementation (and ``svm_backend`` to the LibSVM-like solver unless
-    explicitly overridden).
+    The defaults are the paper's optimized configuration
+    (``optimized-batched``).  Setting ``variant="baseline"`` switches
+    all three stages to the Section 3.2 implementation (and
+    ``svm_backend`` to the LibSVM-like solver unless explicitly
+    overridden).
     """
 
-    variant: Variant = "optimized"
-    #: SVM backend; None picks the variant's native one (PhiSVM for
-    #: optimized, LibSVM-like for baseline).
+    variant: Variant = "optimized-batched"
+    #: SVM backend; None picks the variant's native one (PhiSVM for the
+    #: engine variants, LibSVM-like for baseline).
     svm_backend: Backend | None = None
     svm_c: float = 1.0
     svm_tol: float = 1e-3
     #: Assigned voxels per worker task (120 for face-scene in the paper).
     task_voxels: int = 120
-    #: Stage-1 tile sizes for the optimized variant.
-    voxel_block: int = 16
+    #: Column unit of the master-worker ``--partition tiles`` run:
+    #: without ``--tile-cols``, each 2-D tile spans a multiple of it
+    #: (see ``exec.partition.tile_cols_for``).
     target_block: int = 512
     #: ``optimized-batched`` only: autotune the blocking plan by
     #: measuring candidate voxel sweeps (see ``core.blocking``) instead
@@ -116,8 +119,8 @@ class FCMAConfig:
             raise ValueError("svm_c and svm_tol must be positive")
         if self.task_voxels < 1:
             raise ValueError("task_voxels must be >= 1")
-        if self.voxel_block < 1 or self.target_block < 1:
-            raise ValueError("block sizes must be >= 1")
+        if self.target_block < 1:
+            raise ValueError("target_block must be >= 1")
         if self.online_folds < 2:
             raise ValueError("online_folds must be >= 2")
         if self.batch_voxels < 0:
@@ -171,8 +174,8 @@ class FCMAConfig:
     def resolved_emitter(self) -> str | None:
         """The engine emitter actually used (variant default resolved).
 
-        ``None`` for pre-engine variants (``baseline``, ``optimized``)
-        that never touch the tiled engine.
+        ``None`` for the ``baseline`` variant, which never touches the
+        tiled engine.
         """
         if self.emitter is not None:
             return self.emitter

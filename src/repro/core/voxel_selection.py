@@ -95,7 +95,7 @@ def score_voxels_reference(
     backend:
         An SVM backend with ``fit_kernel`` (PhiSVM or LibSVMClassifier).
     kernel_fn:
-        Kernel precompute: baseline or blocked syrk.
+        Per-voxel kernel precompute, ``(M, N) -> (M, M)``.
     """
     correlations, voxel_ids, labels, fold_ids = _check_inputs(
         correlations, voxel_ids, labels, fold_ids
@@ -115,7 +115,6 @@ def score_voxels(
     labels: np.ndarray,
     fold_ids: np.ndarray,
     backend: KernelBackend,
-    kernel_fn: KernelFn = kernel_matrix_baseline,
     batch_voxels: int | None = DEFAULT_BATCH_VOXELS,
     batch_kernel_fn: BatchKernelFn = kernel_matrix_batched,
 ) -> VoxelScores:
@@ -125,8 +124,9 @@ def score_voxels(
     kernels come from one stacked GEMM (``batch_kernel_fn``) and their
     cross-validation runs through the backend's multi-problem solver
     (``fit_kernel_batch``).  Falls back to
-    :func:`score_voxels_reference` — per-voxel kernels via ``kernel_fn``
-    and sequential CV — when batching is disabled
+    :func:`score_voxels_reference` — per-voxel baseline kernels, bitwise
+    equal to the batched GEMM's slices, and sequential CV — when
+    batching is disabled
     (``batch_voxels=None``/``0``), when the backend has no batched
     trainer (e.g. the LibSVM-like baseline), or when the labels are
     multiclass (one-vs-one voting is per-problem).
@@ -144,8 +144,7 @@ def score_voxels(
     )
     if not batchable:
         return score_voxels_reference(
-            correlations, voxel_ids, labels, fold_ids, backend,
-            kernel_fn=kernel_fn,
+            correlations, voxel_ids, labels, fold_ids, backend
         )
     v = correlations.shape[0]
     accuracies = np.empty(v, dtype=np.float64)
@@ -164,8 +163,7 @@ def score_voxels(
                 # wrapper (e.g. the one-vs-one shim over LibSVM) surface
                 # here; score the whole task on the reference path instead.
                 return score_voxels_reference(
-                    correlations, voxel_ids, labels, fold_ids, backend,
-                    kernel_fn=kernel_fn,
+                    correlations, voxel_ids, labels, fold_ids, backend
                 )
             if span is not None:
                 span.add_metric("voxels", float(b1 - b0))

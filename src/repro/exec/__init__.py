@@ -54,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         build_graph,
         execute_task,
         optimized_batched_graph,
-        optimized_graph,
         sparse_batched_graph,
     )
 
@@ -87,7 +86,6 @@ _EXPORTS = {
     "build_graph": "stage_graph",
     "execute_task": "stage_graph",
     "optimized_batched_graph": "stage_graph",
-    "optimized_graph": "stage_graph",
     "sparse_batched_graph": "stage_graph",
 }
 

@@ -7,8 +7,8 @@ validation, ``make_backend``, the executors, the CLI — resolves through
 the same tables without editing core.
 
 The paper's own choices are pre-seeded: backends ``phisvm``, ``libsvm``
-and ``libsvm-float32``; variants ``baseline``, ``optimized`` and
-``optimized-batched`` (their graph builders live in
+and ``libsvm-float32``; variants ``baseline``, ``optimized-batched``
+and ``sparse-batched`` (their graph builders live in
 :mod:`repro.exec.stage_graph` and self-register on import, which
 :func:`graph_builder` triggers lazily to keep the import graph acyclic).
 """
@@ -70,7 +70,7 @@ _BACKENDS: dict[str, BackendFactory] = {
 #: Variant builders; the built-ins self-register when stage_graph loads.
 _VARIANTS: dict[str, GraphBuilder] = {}
 #: Names config validation accepts even before stage_graph has loaded.
-_BUILTIN_VARIANTS = ("baseline", "optimized", "optimized-batched", "sparse-batched")
+_BUILTIN_VARIANTS = ("baseline", "optimized-batched", "sparse-batched")
 
 
 def register_backend(

@@ -8,17 +8,18 @@ node's wall time is charged to the :class:`~repro.exec.context.RunContext`
 under the node's name, so every executor emits identical per-stage
 telemetry.
 
-Two built-in graphs mirror ``FCMAConfig.variant``:
+Three built-in graphs mirror ``FCMAConfig.variant``:
 
 * ``baseline`` — three separate nodes (per-epoch gemm correlation,
   separated normalization, LibSVM-style scoring);
-* ``optimized`` — the paper's idea #2 *merges* normalization into the
-  blocked correlation while tiles are L2-resident, so the graph has a
-  fused ``correlate+normalize`` node followed by ``score``;
-* ``optimized-batched`` — the fused epoch-batched engine: one 3D batched
-  gemm for the whole task plus an L2-sized voxel sweep of the vectorized
-  normalizer, with the sweep width chosen by the blocking planner
-  (optionally autotuned and plan-cached; see ``core.blocking``).
+* ``optimized-batched`` (the default) — the paper's idea #2: the tiled
+  engine (``run_engine`` + ``DenseEmitter``) normalizes correlations
+  while they are still L2-resident, so the graph has one fused
+  ``correlate+normalize`` node followed by ``score``; the sweep width
+  comes from the blocking planner (optionally autotuned and
+  plan-cached; see ``core.blocking``);
+* ``sparse-batched`` — the same engine through ``CSREmitter``:
+  thresholded CSR correlations and a sparse-Gram ``score`` node.
 
 All graphs reproduce the legacy ``run_task`` results bitwise; the
 equivalence is pinned by ``tests/exec/test_stage_graph.py``.
@@ -33,14 +34,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..core import blocking
-from ..core.correlation import (
-    correlate_baseline,
-    correlate_blocked,
-    stage1_input_copies,
-)
+from ..core.correlation import correlate_baseline, stage1_input_copies
 from ..core.engine import DenseEmitter, run_engine
-from ..core.kernels import kernel_matrix_baseline, kernel_matrix_blocked
-from ..core.normalization import MergedNormalizer, normalize_separated
+from ..core.normalization import normalize_separated
 from ..core.results import VoxelScores
 from ..core.sparse import CSREmitter, sparse_tile_plan
 from ..core.voxel_selection import score_voxels, score_voxels_sparse
@@ -56,10 +52,8 @@ __all__ = [
     "StageGraph",
     "StageGraphError",
     "baseline_graph",
-    "optimized_graph",
     "optimized_batched_graph",
     "sparse_batched_graph",
-    "register_fused_stage",
     "build_graph",
     "execute_task",
 ]
@@ -186,28 +180,6 @@ def _normalize_separated(
     with ctx.tracer.span("normalize_separated", kind="kernel") as span:
         normalize_separated(corr, state["grouped"].epochs.epochs_per_subject())
         span.add_metric("bytes_moved", float(2 * corr.nbytes))
-    return {"correlations": corr}
-
-
-def _correlate_merged(
-    ctx: RunContext, state: Mapping[str, Any]
-) -> Mapping[str, Any]:
-    config = ctx.config
-    e_per_subject = state["grouped"].epochs.epochs_per_subject()
-    merger = MergedNormalizer(e_per_subject)
-    with ctx.tracer.span("correlate_blocked+merge", kind="kernel") as span:
-        corr = correlate_blocked(
-            state["windows"],
-            state["assigned"],
-            voxel_block=config.voxel_block,
-            target_block=config.target_block,
-            epoch_block=e_per_subject,
-            tile_callback=merger,
-        )
-        span.add_metric("voxels", float(state["assigned"].size))
-        span.add_metric(
-            "bytes_moved", float(state["windows"].nbytes + corr.nbytes)
-        )
     return {"correlations": corr}
 
 
@@ -339,45 +311,6 @@ def _correlate_sparse_fused(
     return {"sparse_correlations": result}
 
 
-#: Engine stage bodies keyed by emitter name — the exec-layer dispatch
-#: for the core engine's pluggable materializations.  A variant's graph
-#: builder resolves ``config.resolved_emitter()`` through this table, so
-#: registering a new emitter's stage body plugs it into the pipeline
-#: without editing the builders.
-FUSED_STAGE_BODIES: dict[str, StageFn] = {
-    "dense": _correlate_batched_fused,
-    "csr": _correlate_sparse_fused,
-}
-
-
-def register_fused_stage(
-    emitter: str, fn: StageFn, *, overwrite: bool = False
-) -> None:
-    """Register the stage body that drives the engine for ``emitter``."""
-    if not emitter:
-        raise ValueError("emitter name must be non-empty")
-    if emitter in FUSED_STAGE_BODIES and not overwrite:
-        raise ValueError(f"stage body for emitter {emitter!r} already registered")
-    FUSED_STAGE_BODIES[emitter] = fn
-
-
-def _fused_stage_body(config: Any, default_emitter: str) -> StageFn:
-    """Resolve a config's emitter to its registered engine stage body."""
-    name = default_emitter
-    if config is not None:
-        resolver = getattr(config, "resolved_emitter", None)
-        resolved = resolver() if callable(resolver) else None
-        if resolved is not None:
-            name = resolved
-    try:
-        return FUSED_STAGE_BODIES[name]
-    except KeyError:
-        raise StageGraphError(
-            f"no engine stage body registered for emitter {name!r}; "
-            f"known: {sorted(FUSED_STAGE_BODIES)}"
-        ) from None
-
-
 def _score_sparse(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
     grouped = state["grouped"]
     backend = create_backend(ctx.config)
@@ -395,24 +328,20 @@ def _score_sparse(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any
     return {"scores": scores}
 
 
-def _make_score_stage(kernel_fn: Callable[..., Any]) -> StageFn:
-    def _score(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
-        grouped = state["grouped"]
-        backend = create_backend(ctx.config)
-        with ctx.tracer.span("score_voxels", kind="kernel") as span:
-            scores = score_voxels(
-                state["correlations"],
-                state["assigned"],
-                grouped.epochs.labels(),
-                _fold_ids(ctx, grouped),
-                backend,
-                kernel_fn=kernel_fn,
-                batch_voxels=ctx.config.batch_voxels,
-            )
-            span.add_metric("voxels", float(state["assigned"].size))
-        return {"scores": scores}
-
-    return _score
+def _score(ctx: RunContext, state: Mapping[str, Any]) -> Mapping[str, Any]:
+    grouped = state["grouped"]
+    backend = create_backend(ctx.config)
+    with ctx.tracer.span("score_voxels", kind="kernel") as span:
+        scores = score_voxels(
+            state["correlations"],
+            state["assigned"],
+            grouped.epochs.labels(),
+            _fold_ids(ctx, grouped),
+            backend,
+            batch_voxels=ctx.config.batch_voxels,
+        )
+        span.add_metric("voxels", float(state["assigned"].size))
+    return {"scores": scores}
 
 
 _SEEDS = ("dataset", "assigned")
@@ -437,29 +366,7 @@ def baseline_graph(config: Any = None) -> StageGraph:
             ),
             Stage(
                 "score",
-                _make_score_stage(kernel_matrix_baseline),
-                ("correlations", "assigned", "grouped"),
-                ("scores",),
-            ),
-        ),
-        seeds=_SEEDS,
-    )
-
-
-def optimized_graph(config: Any = None) -> StageGraph:
-    """The Section-4 pipeline: normalization merged into correlation."""
-    return StageGraph(
-        stages=(
-            Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows")),
-            Stage(
-                "correlate+normalize",
-                _correlate_merged,
-                ("windows", "assigned", "grouped"),
-                ("correlations",),
-            ),
-            Stage(
-                "score",
-                _make_score_stage(kernel_matrix_blocked),
+                _score,
                 ("correlations", "assigned", "grouped"),
                 ("scores",),
             ),
@@ -469,19 +376,19 @@ def optimized_graph(config: Any = None) -> StageGraph:
 
 
 def optimized_batched_graph(config: Any = None) -> StageGraph:
-    """The fused epoch-batched pipeline (this repo's PR-3 engine)."""
+    """The Section-4 pipeline on the fused tiled engine (the default)."""
     return StageGraph(
         stages=(
             Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows")),
             Stage(
                 "correlate+normalize",
-                _fused_stage_body(config, "dense"),
+                _correlate_batched_fused,
                 ("windows", "assigned", "grouped"),
                 ("correlations",),
             ),
             Stage(
                 "score",
-                _make_score_stage(kernel_matrix_blocked),
+                _score,
                 ("correlations", "assigned", "grouped"),
                 ("scores",),
             ),
@@ -504,7 +411,7 @@ def sparse_batched_graph(config: Any = None) -> StageGraph:
             Stage("preprocess", _preprocess, ("dataset",), ("grouped", "windows")),
             Stage(
                 "correlate+normalize",
-                _fused_stage_body(config, "csr"),
+                _correlate_sparse_fused,
                 ("windows", "assigned", "grouped"),
                 ("sparse_correlations",),
             ),
@@ -520,7 +427,6 @@ def sparse_batched_graph(config: Any = None) -> StageGraph:
 
 
 register_variant("baseline", baseline_graph, overwrite=True)
-register_variant("optimized", optimized_graph, overwrite=True)
 register_variant("optimized-batched", optimized_batched_graph, overwrite=True)
 register_variant("sparse-batched", sparse_batched_graph, overwrite=True)
 

@@ -159,8 +159,8 @@ def predict_kernel(
     ``name`` is a stage-graph kernel span name; returns ``None`` for
     kernels with no model (``plan_blocks``, solver internals).  For the
     scoring node, ``variant`` selects the implementation pair the run
-    actually used (baseline -> MKL syrk + LibSVM; optimized ->
-    panel syrk + PhiSVM).  The sparse kernel additionally needs its
+    actually used (baseline -> MKL syrk + LibSVM; otherwise panel
+    syrk + PhiSVM).  The sparse kernel additionally needs its
     recorded tile geometry and kept fraction (``target_block``,
     ``density`` — span metrics of ``correlate_normalize_sparse``).
     """
@@ -192,11 +192,6 @@ def predict_kernel(
         return _combine([model_correlation_matmul(spec, n_assigned, hw, "mkl")])
     if name == "normalize_separated":
         return _combine([model_normalization(spec, n_assigned, hw, "separated")])
-    if name == "correlate_blocked+merge":
-        return _combine([
-            model_correlation_matmul(spec, n_assigned, hw, "ours"),
-            model_normalization(spec, n_assigned, hw, "merged"),
-        ])
     if name == "correlate_normalize_batched":
         sweep = voxel_sweep if voxel_sweep else n_assigned
         return _combine([model_batched_stage12(spec, n_assigned, hw, sweep)])
@@ -221,7 +216,6 @@ def predict_kernel(
 MODELED_KERNELS = (
     "correlate_baseline",
     "normalize_separated",
-    "correlate_blocked+merge",
     "correlate_normalize_batched",
     "correlate_normalize_sparse",
     "correlate_normalize_tile2d",

@@ -121,7 +121,6 @@ def score_panel(
     ctx: "RunContext",
 ) -> VoxelScores:
     """Stage 3 of one assembled row panel (same path as the stage graph)."""
-    from ..core.kernels import kernel_matrix_blocked
     from ..core.voxel_selection import score_voxels
     from ..exec.registry import create_backend
     from ..svm.cross_validation import kfold_ids
@@ -138,7 +137,6 @@ def score_panel(
         epochs.labels(),
         fold_ids,
         backend,
-        kernel_fn=kernel_matrix_blocked,
         batch_voxels=config.batch_voxels,
     )
 

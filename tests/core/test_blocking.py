@@ -73,11 +73,8 @@ class TestPlanBlocks:
         """The planner's output must be directly consumable by stage 1."""
         import numpy as np
 
-        from repro.core.correlation import (
-            correlate_baseline,
-            correlate_blocked,
-            normalize_epoch_data,
-        )
+        from repro.core.correlation import correlate_baseline, normalize_epoch_data
+        from tests.oracles import correlate_blocked
 
         plan = plan_blocks(
             PHI_5110P, epochs_per_subject=4, epoch_length=8,

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.correlation import (
     correlate_baseline,
-    correlate_blocked,
+    correlate_batched,
     epoch_windows,
     iter_blocks,
     normalize_epoch_data,
 )
+from tests.oracles import correlate_blocked, correlate_blocked_reference
 
 
 def stack(n_epochs=4, n_voxels=12, t=10, seed=0):
@@ -209,8 +210,6 @@ def test_blocked_equals_baseline_property(n_epochs, n_voxels, t, vb, tb, seed):
 
 class TestCorrelateBatched:
     def test_matches_baseline(self):
-        from repro.core.correlation import correlate_batched
-
         z = normalize_epoch_data(stack(5, 14, 9, seed=4))
         assigned = np.array([0, 2, 7, 13])
         np.testing.assert_allclose(
@@ -220,8 +219,6 @@ class TestCorrelateBatched:
         )
 
     def test_writes_into_out(self):
-        from repro.core.correlation import correlate_batched
-
         z = normalize_epoch_data(stack(3, 8, 6, seed=5))
         assigned = np.arange(8)
         out = np.empty((8, 3, 8), dtype=np.float32)
@@ -230,8 +227,6 @@ class TestCorrelateBatched:
 
     def test_voxel_major_layout(self):
         """out[v, e, :] is voxel v's correlation vector for epoch e."""
-        from repro.core.correlation import correlate_batched
-
         z = normalize_epoch_data(stack(4, 6, 7, seed=6))
         assigned = np.array([1, 4])
         out = correlate_batched(z, assigned)
@@ -242,49 +237,36 @@ class TestCorrelateBatched:
                 )
 
 
+#: Stage-1 kernels that accept a caller-provided ``out``.
+OUT_FNS = [correlate_batched, correlate_blocked, correlate_blocked_reference]
+
+
 class TestOutValidation:
     def _z(self):
         return normalize_epoch_data(stack(3, 8, 6, seed=7))
 
-    @pytest.mark.parametrize("fn_name", [
-        "correlate_batched", "correlate_blocked", "correlate_blocked_reference",
-    ])
-    def test_float64_out_rejected(self, fn_name):
-        import repro.core.correlation as corr
-
-        fn = getattr(corr, fn_name)
+    @pytest.mark.parametrize("fn", OUT_FNS, ids=lambda fn: fn.__name__)
+    def test_float64_out_rejected(self, fn):
         z = self._z()
         bad = np.empty((8, 3, 8), dtype=np.float64)
         with pytest.raises(TypeError, match="float32"):
             fn(z, np.arange(8), out=bad)
 
-    @pytest.mark.parametrize("fn_name", [
-        "correlate_batched", "correlate_blocked", "correlate_blocked_reference",
-    ])
-    def test_non_contiguous_out_rejected(self, fn_name):
-        import repro.core.correlation as corr
-
-        fn = getattr(corr, fn_name)
+    @pytest.mark.parametrize("fn", OUT_FNS, ids=lambda fn: fn.__name__)
+    def test_non_contiguous_out_rejected(self, fn):
         z = self._z()
         bad = np.empty((8, 3, 16), dtype=np.float32)[:, :, ::2]
         with pytest.raises(TypeError, match="contiguous"):
             fn(z, np.arange(8), out=bad)
 
-    @pytest.mark.parametrize("fn_name", [
-        "correlate_batched", "correlate_blocked", "correlate_blocked_reference",
-    ])
-    def test_wrong_shape_out_rejected(self, fn_name):
-        import repro.core.correlation as corr
-
-        fn = getattr(corr, fn_name)
+    @pytest.mark.parametrize("fn", OUT_FNS, ids=lambda fn: fn.__name__)
+    def test_wrong_shape_out_rejected(self, fn):
         z = self._z()
         bad = np.empty((8, 3, 5), dtype=np.float32)
         with pytest.raises(ValueError, match="out has shape"):
             fn(z, np.arange(8), out=bad)
 
     def test_non_array_out_rejected(self):
-        from repro.core.correlation import correlate_batched
-
         with pytest.raises(TypeError, match="numpy array"):
             correlate_batched(self._z(), np.arange(8), out=[])
 
@@ -293,8 +275,6 @@ class TestBlockedReference:
     def test_reference_matches_blocked(self):
         """The preserved per-epoch loop and the batched rewrite tile
         identically; outputs agree to float32 tolerance."""
-        from repro.core.correlation import correlate_blocked_reference
-
         z = normalize_epoch_data(stack(6, 13, 8, seed=8))
         assigned = np.arange(13)
         ref = correlate_blocked_reference(
@@ -306,8 +286,6 @@ class TestBlockedReference:
         np.testing.assert_allclose(ref, blk, atol=3e-7, rtol=0)
 
     def test_reference_callback_sequence_preserved(self):
-        from repro.core.correlation import correlate_blocked_reference
-
         calls = []
         z = normalize_epoch_data(stack(4, 10, 6, seed=9))
         correlate_blocked_reference(
@@ -355,8 +333,6 @@ class TestStage1InputCopies:
     def test_non_contiguous_z_still_bitwise_equal(self):
         """The hidden copy must not change the produced bits — the
         counter reports a cost, not a correctness hazard."""
-        from repro.core.correlation import correlate_batched
-
         z = self._z()
         padded = np.empty((3, 8, 12), dtype=np.float32)
         padded[:, :, :6] = z

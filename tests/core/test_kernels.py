@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.kernels import (
     kernel_matrix_baseline,
     kernel_matrix_batched,
-    kernel_matrix_blocked,
     symmetrize_from_triangle,
 )
+from tests.oracles import kernel_matrix_blocked
 
 
 def data(m=10, n=300, seed=0):

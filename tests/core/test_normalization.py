@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.correlation import correlate_baseline, correlate_blocked, normalize_epoch_data
+from repro.core.correlation import correlate_baseline, normalize_epoch_data
 from repro.core.normalization import (
-    MergedNormalizer,
     fisher_z,
     normalize_separated,
     zscore_within_subject,
 )
+from tests.oracles import MergedNormalizer, correlate_blocked
 
 
 def corr_array(v=4, subjects=3, e=4, n=10, seed=0):

@@ -16,8 +16,17 @@ from repro.svm import LibSVMClassifier, PhiSVM
 class TestConfig:
     def test_defaults_are_optimized(self):
         cfg = FCMAConfig()
-        assert cfg.variant == "optimized"
+        assert cfg.variant == "optimized-batched"
+        assert cfg.resolved_emitter() == "dense"
         assert cfg.resolved_backend() == "phisvm"
+
+    def test_retired_optimized_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'optimized'"):
+            FCMAConfig(variant="optimized")
+
+    def test_voxel_block_knob_removed(self):
+        with pytest.raises(TypeError, match="voxel_block"):
+            FCMAConfig(voxel_block=8)
 
     def test_baseline_defaults_to_libsvm(self):
         assert FCMAConfig(variant="baseline").resolved_backend() == "libsvm"
@@ -37,7 +46,7 @@ class TestConfig:
             {"svm_backend": "bogus"},
             {"svm_c": 0},
             {"task_voxels": 0},
-            {"voxel_block": 0},
+            {"target_block": 0},
             {"online_folds": 1},
             {"batch_voxels": -1},
             {"chunksize": 0},

@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 from repro.core.correlation import (
     correlate_baseline,
     correlate_batched,
-    correlate_blocked,
-    correlate_blocked_reference,
     correlate_normalize_batched,
     normalize_epoch_data,
 )
 from repro.core.normalization import normalize_separated
 from repro.obs import Tracer, use_tracer
+from tests.oracles import correlate_blocked, correlate_blocked_reference
 
 # (n_epochs, n_voxels, epoch_len, n_assigned, voxel_block, target_block,
 #  epochs_per_subject) — deliberately awkward shapes: n_voxels not

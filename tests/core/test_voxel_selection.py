@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.kernels import kernel_matrix_baseline, kernel_matrix_blocked
+from repro.core.kernels import kernel_matrix_baseline
 from repro.core.voxel_selection import score_voxels, score_voxels_reference
 from repro.svm import LibSVMClassifier, PhiSVM
 from repro.svm.multiclass import as_multiclass
+from tests.oracles import kernel_matrix_blocked
 
 
 def correlations(v=3, m=24, n=30, seed=0, informative_first=True):
@@ -37,11 +38,11 @@ class TestScoreVoxels:
 
     def test_kernel_fn_equivalence(self):
         corr, labels, folds = correlations(seed=1)
-        a = score_voxels(
+        a = score_voxels_reference(
             corr, np.arange(3), labels, folds, PhiSVM(tol=1e-4),
             kernel_fn=kernel_matrix_baseline,
         )
-        b = score_voxels(
+        b = score_voxels_reference(
             corr, np.arange(3), labels, folds, PhiSVM(tol=1e-4),
             kernel_fn=kernel_matrix_blocked,
         )
@@ -59,9 +60,9 @@ class TestScoreVoxels:
 
 class TestBatchedPath:
     def test_batched_matches_reference(self):
-        """The default (batched) path must reproduce the per-voxel
-        reference within float32 tolerance — the solver trajectories are
-        bitwise-equal, so in practice the accuracies are identical."""
+        """The default (batched) path reproduces the per-voxel reference
+        bitwise: the stacked-GEMM kernel slices equal the per-voxel
+        baseline kernels and the solver trajectories are identical."""
         corr, labels, folds = correlations(v=7, seed=2)
         svm = PhiSVM(tol=1e-4)
         batched = score_voxels(
@@ -70,9 +71,7 @@ class TestBatchedPath:
         reference = score_voxels_reference(
             corr, np.arange(7), labels, folds, svm
         )
-        np.testing.assert_allclose(
-            batched.accuracies, reference.accuracies, atol=1e-6
-        )
+        np.testing.assert_array_equal(batched.accuracies, reference.accuracies)
 
     def test_batch_disabled_falls_back(self):
         corr, labels, folds = correlations(seed=3)
@@ -115,3 +114,18 @@ class TestBatchedPath:
         np.testing.assert_allclose(
             batched.accuracies, ref.accuracies, atol=1e-6
         )
+
+    def test_pipeline_fallback_matches_default(self, tiny_dataset):
+        """Through the whole graph, the per-voxel fallback (baseline
+        kernels, sequential CV) scores bitwise like the batched default."""
+        from repro.core import FCMAConfig
+        from repro.exec import RunContext
+        from repro.exec.stage_graph import execute_task
+
+        assigned = np.arange(20, dtype=np.int64)
+        fallback = execute_task(
+            tiny_dataset, assigned, RunContext(FCMAConfig(batch_voxels=0))
+        )
+        default = execute_task(tiny_dataset, assigned, RunContext(FCMAConfig()))
+        np.testing.assert_array_equal(fallback.voxels, default.voxels)
+        np.testing.assert_array_equal(fallback.accuracies, default.accuracies)

@@ -30,14 +30,12 @@ def _make(name: str) -> Executor:
 
 class TestCrossExecutorEquivalence:
     @pytest.mark.parametrize("name", ["pool", "master-worker"])
-    @pytest.mark.parametrize(
-        "variant", ["baseline", "optimized", "optimized-batched"]
-    )
+    @pytest.mark.parametrize("variant", ["baseline", "optimized-batched"])
     def test_bitwise_identical_to_serial(
         self, tiny_dataset, name, variant
     ):
         config = FCMAConfig(
-            variant=variant, task_voxels=16, voxel_block=8, target_block=32
+            variant=variant, task_voxels=16, target_block=32
         )
         reference = SerialExecutor().run(
             tiny_dataset, RunContext(config, seed=0)
@@ -49,7 +47,7 @@ class TestCrossExecutorEquivalence:
     @pytest.mark.parametrize("name", EXECUTOR_NAMES)
     def test_voxel_subset_equivalence(self, tiny_dataset, fast_fcma_config, name):
         voxels = np.array([3, 1, 40, 17, 5, 22, 8], dtype=np.int64)
-        config = FCMAConfig(task_voxels=3, voxel_block=8, target_block=32)
+        config = FCMAConfig(task_voxels=3, target_block=32)
         reference = SerialExecutor().run(
             tiny_dataset, RunContext(config), voxels=voxels
         )
@@ -95,10 +93,10 @@ class TestTraceEquivalence:
         ]
 
     @pytest.mark.parametrize("name", ["pool", "master-worker"])
-    @pytest.mark.parametrize("variant", ["optimized", "optimized-batched"])
+    @pytest.mark.parametrize("variant", ["optimized-batched"])
     def test_task_spans_match_serial(self, tiny_dataset, name, variant):
         config = FCMAConfig(
-            variant=variant, task_voxels=16, voxel_block=8, target_block=32
+            variant=variant, task_voxels=16, target_block=32
         )
         reference = self._run("serial", tiny_dataset, config)
         ctx = self._run(name, tiny_dataset, config)
@@ -113,7 +111,7 @@ class TestTraceEquivalence:
         worker task spans re-root under the master's run span."""
         config = FCMAConfig(
             variant="optimized-batched",
-            task_voxels=16, voxel_block=8, target_block=32,
+            task_voxels=16, target_block=32,
         )
         reference = self._run("serial", tiny_dataset, config)
         ctx = self._run("pool", tiny_dataset, config)
@@ -127,13 +125,13 @@ class TestTraceEquivalence:
         """The comparison is not vacuous: two variants differ."""
         ref = self._run(
             "serial", tiny_dataset,
-            FCMAConfig(variant="optimized", task_voxels=16,
-                       voxel_block=8, target_block=32),
+            FCMAConfig(variant="baseline", task_voxels=16,
+                       target_block=32),
         )
         other = self._run(
             "serial", tiny_dataset,
             FCMAConfig(variant="optimized-batched", task_voxels=16,
-                       voxel_block=8, target_block=32),
+                       target_block=32),
         )
         with pytest.raises(AssertionError):
             assert_same_structure(

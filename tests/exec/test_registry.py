@@ -31,10 +31,12 @@ class TestBuiltins:
         assert available_backends() == ("libsvm", "libsvm-float32", "phisvm")
 
     def test_paper_variants_always_listed(self):
-        assert set(available_variants()) >= {"baseline", "optimized"}
+        assert set(available_variants()) == {
+            "baseline", "optimized-batched", "sparse-batched",
+        }
 
     def test_builtin_graph_builders_resolve(self):
-        for name in ("baseline", "optimized"):
+        for name in ("baseline", "optimized-batched"):
             graph = graph_builder(name)(FCMAConfig(variant=name))
             assert "score" in graph.stage_names
 
@@ -113,13 +115,13 @@ class TestRegistration:
 
 class TestCreateBackend:
     def test_resolves_variant_default(self):
-        optimized = create_backend(FCMAConfig(variant="optimized"))
+        optimized = create_backend(FCMAConfig())
         baseline = create_backend(FCMAConfig(variant="baseline"))
         assert type(optimized).__name__ != type(baseline).__name__ or (
             optimized is not baseline
         )
 
     def test_explicit_backend_wins(self):
-        config = FCMAConfig(variant="optimized", svm_backend="libsvm")
+        config = FCMAConfig(svm_backend="libsvm")
         assert config.resolved_backend() == "libsvm"
         create_backend(config)  # must build without error

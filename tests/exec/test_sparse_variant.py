@@ -99,7 +99,7 @@ class TestConfigValidation:
 
 
 class TestCli:
-    @pytest.mark.parametrize("command", ["run", "select"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_sparse_flags_parse(self, command):
         args = build_parser().parse_args(
             [command, "data.npz", "--variant", "sparse-batched",

@@ -14,8 +14,9 @@ from repro.exec.stage_graph import (
     baseline_graph,
     build_graph,
     execute_task,
-    optimized_graph,
+    optimized_batched_graph,
 )
+from tests.oracles import MergedNormalizer, correlate_blocked
 
 
 def _passthrough(ctx, state):
@@ -87,7 +88,7 @@ class TestBuiltinGraphs:
             "normalize",
             "score",
         )
-        assert optimized_graph().stage_names == (
+        assert optimized_batched_graph().stage_names == (
             "preprocess",
             "correlate+normalize",
             "score",
@@ -99,17 +100,15 @@ class TestBuiltinGraphs:
             == baseline_graph().stage_names
         )
         assert (
-            build_graph(FCMAConfig(variant="optimized")).stage_names
-            == optimized_graph().stage_names
+            build_graph(FCMAConfig()).stage_names
+            == optimized_batched_graph().stage_names
         )
 
 
 class TestExecuteTask:
-    @pytest.mark.parametrize("variant", ["baseline", "optimized"])
+    @pytest.mark.parametrize("variant", ["baseline", "optimized-batched"])
     def test_bitwise_identical_to_run_task(self, tiny_dataset, variant):
-        config = FCMAConfig(
-            variant=variant, task_voxels=40, voxel_block=8, target_block=32
-        )
+        config = FCMAConfig(variant=variant, task_voxels=40, target_block=32)
         assigned = np.arange(20, dtype=np.int64)
         legacy = run_task(tiny_dataset, assigned, config)
         graph = execute_task(tiny_dataset, assigned, RunContext(config))
@@ -142,8 +141,6 @@ class TestExecuteTask:
 
 class TestOptimizedBatchedGraph:
     def test_stage_names(self):
-        from repro.exec.stage_graph import optimized_batched_graph
-
         assert optimized_batched_graph().stage_names == (
             "preprocess",
             "correlate+normalize",
@@ -155,20 +152,39 @@ class TestOptimizedBatchedGraph:
         )
 
     def test_matches_optimized_variant(self, tiny_dataset):
-        """The fused batched engine ranks voxels identically to the
-        merged blocked path (scores come from the same normalized
-        correlations up to float32 gemm rounding)."""
+        """The default pipeline scores voxels exactly as the paper's
+        Section-4 optimized loop: L2-sized blocked tiles normalized by a
+        per-tile merged callback (one subject's epochs per tile), then
+        the batched stage 3 — on offline LOSO and online k-fold CV."""
+        from repro.core.pipeline import preprocess_dataset
+        from repro.core.voxel_selection import score_voxels
+        from repro.exec.registry import create_backend
+        from repro.svm.cross_validation import kfold_ids
+
+        config = FCMAConfig()
         assigned = np.arange(20, dtype=np.int64)
-        opt = execute_task(
-            tiny_dataset, assigned, RunContext(FCMAConfig(variant="optimized"))
-        )
-        bat = execute_task(
-            tiny_dataset,
-            assigned,
-            RunContext(FCMAConfig(variant="optimized-batched")),
-        )
-        np.testing.assert_array_equal(opt.voxels, bat.voxels)
-        np.testing.assert_array_equal(opt.accuracies, bat.accuracies)
+        for dataset in (tiny_dataset, tiny_dataset.single_subject(0)):
+            grouped, z = preprocess_dataset(dataset)
+            epochs = grouped.epochs
+            e_per_subject = epochs.epochs_per_subject()
+            corr = correlate_blocked(
+                z, assigned, voxel_block=8, target_block=32,
+                epoch_block=e_per_subject,
+                tile_callback=MergedNormalizer(e_per_subject),
+            )
+            if epochs.n_subjects >= 2:
+                folds = np.asarray(epochs.subjects())
+            else:
+                folds = np.asarray(kfold_ids(len(epochs), config.online_folds))
+            oracle = score_voxels(
+                corr, assigned, epochs.labels(), folds,
+                create_backend(config), batch_voxels=config.batch_voxels,
+            )
+            default = execute_task(dataset, assigned, RunContext(config))
+            np.testing.assert_array_equal(oracle.voxels, default.voxels)
+            np.testing.assert_array_equal(
+                oracle.accuracies, default.accuracies
+            )
 
     def test_records_plan_and_counters(self, tiny_dataset):
         ctx = RunContext(FCMAConfig(variant="optimized-batched"))

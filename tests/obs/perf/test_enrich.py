@@ -160,10 +160,13 @@ class TestPredictKernel:
         assert base[1] > opt[1]
 
     def test_merged_kernel_sums_its_parts(self):
+        """A full-width 2-D tile is the blocked gemm plus the merged
+        normalization of its rows, nothing else."""
         from repro.perf import model_correlation_matmul, model_normalization
 
         counters, seconds = predict_kernel(
-            "correlate_blocked+merge", FACE_SCENE, 120, E5_2670
+            "correlate_normalize_tile2d", FACE_SCENE, 120, E5_2670,
+            cols=FACE_SCENE.n_voxels,
         )
         corr = model_correlation_matmul(FACE_SCENE, 120, E5_2670, "ours")
         norm = model_normalization(FACE_SCENE, 120, E5_2670, "merged")

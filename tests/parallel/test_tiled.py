@@ -32,7 +32,7 @@ TIMEOUT = 30.0
 
 @pytest.fixture()
 def config() -> FCMAConfig:
-    return FCMAConfig(task_voxels=40, voxel_block=8, target_block=32)
+    return FCMAConfig(task_voxels=40, target_block=32)
 
 
 @pytest.fixture()

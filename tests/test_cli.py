@@ -28,6 +28,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["transmogrify"])
 
+    def test_select_command_retired(self):
+        """``fcma run`` covers what the old ``select`` verb did."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["select", "ds.npz"])
+
     def test_defaults(self):
         args = build_parser().parse_args(["report"])
         assert args.dataset == "face-scene"
@@ -224,9 +229,12 @@ class TestRun:
 
 
 class TestSelect:
+    """Voxel-selection output of ``fcma run``: the ranking, every score
+    as CSV (``--output``), and the baseline variant."""
+
     def test_prints_top_voxels(self, dataset_file, capsys):
         rc = main([
-            "select", str(dataset_file), "--top", "3", "--task-voxels", "40",
+            "run", str(dataset_file), "--top", "3", "--task-voxels", "40",
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -236,19 +244,30 @@ class TestSelect:
     def test_csv_output(self, dataset_file, tmp_path, capsys):
         csv = tmp_path / "scores.csv"
         rc = main([
-            "select", str(dataset_file), "--top", "2",
+            "run", str(dataset_file), "--top", "2",
             "--task-voxels", "40", "--output", str(csv),
         ])
         assert rc == 0
+        assert f"wrote all 80 scores to {csv}" in capsys.readouterr().out
         lines = csv.read_text().splitlines()
         assert lines[0] == "voxel,accuracy"
         assert len(lines) == 81
         accs = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert (np.diff(accs) <= 1e-9).all()  # sorted descending
+        # --json keeps stdout a single JSON document and writes the
+        # same file.
+        csv_json = tmp_path / "scores-json.csv"
+        rc = main([
+            "run", str(dataset_file), "--top", "2", "--task-voxels", "40",
+            "--output", str(csv_json), "--json",
+        ])
+        assert rc == 0
+        json.loads(capsys.readouterr().out)
+        assert csv_json.read_text() == csv.read_text()
 
     def test_baseline_variant(self, dataset_file, capsys):
         rc = main([
-            "select", str(dataset_file), "--variant", "baseline",
+            "run", str(dataset_file), "--variant", "baseline",
             "--top", "2", "--task-voxels", "80",
         ])
         assert rc == 0
