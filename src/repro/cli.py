@@ -793,6 +793,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     live.start(ctx.tracer)
     try:
         scores = executor.run(dataset, ctx)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         live.stop()
         if inc_writer is not None:

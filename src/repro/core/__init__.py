@@ -36,8 +36,6 @@ from .pipeline import (
     clear_preprocess_cache,
     make_backend,
     preprocess_dataset,
-    run_task,
-    task_partition,
 )
 from .results import VoxelScores
 from .sparse import (
@@ -81,13 +79,11 @@ __all__ = [
     "plan_blocks",
     "plan_key",
     "preprocess_dataset",
-    "run_task",
     "score_voxels",
     "score_voxels_reference",
     "score_voxels_sparse",
     "stage1_input_copies",
     "symmetrize_from_triangle",
-    "task_partition",
     "threshold_dense",
     "topk_block",
     "zscore_within_subject",

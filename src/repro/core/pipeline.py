@@ -1,10 +1,11 @@
-"""The three-stage FCMA pipeline on one worker (Sections 3.1.2, 4).
+"""Configuration and shared preprocessing of the three-stage FCMA pipeline.
 
-:func:`run_task` executes what a single worker node does for one task:
-given a dataset and an assigned set of voxels, it computes those voxels'
-correlation vectors for every epoch (stage 1), normalizes them (stage 2),
-and scores each voxel by SVM cross-validation (stage 3), returning the
-accuracies the worker would send back to the master.
+One worker task computes its assigned voxels' correlation vectors for
+every epoch (stage 1), normalizes them (stage 2), and scores each voxel
+by SVM cross-validation (stage 3); the stages themselves run in the
+stage graph (:func:`repro.exec.stage_graph.execute_task`).  This module
+holds what every task shares: the task-invariant preprocessing cache
+and :class:`FCMAConfig`.
 
 :class:`FCMAConfig` selects between the *baseline* implementation
 (per-epoch gemm, separated normalization, LibSVM-like solver — Section
@@ -23,14 +24,11 @@ import numpy as np
 from ..data.dataset import FMRIDataset
 from ..svm.cross_validation import KernelBackend
 from .correlation import epoch_windows
-from .results import VoxelScores
 from .voxel_selection import DEFAULT_BATCH_VOXELS
 
 __all__ = [
     "FCMAConfig",
-    "run_task",
     "make_backend",
-    "task_partition",
     "preprocess_dataset",
     "clear_preprocess_cache",
 ]
@@ -86,7 +84,7 @@ class FCMAConfig:
     #: multi-problem SMO solver).  0 forces the per-voxel reference
     #: path; backends without a batched trainer fall back automatically.
     batch_voxels: int = DEFAULT_BATCH_VOXELS
-    #: Tasks per worker message in ``parallel_voxel_selection``'s
+    #: Tasks per worker message in the process-pool executor's
     #: ``pool.map``; None picks ~4 chunks per worker.  The default
     #: chunksize of 1 would serialize one result round-trip per task.
     chunksize: int | None = None
@@ -206,19 +204,6 @@ def make_backend(config: FCMAConfig) -> KernelBackend:
     return create_backend(config)
 
 
-def task_partition(n_voxels: int, task_voxels: int) -> list[np.ndarray]:
-    """Partition all brain voxels into master-assignable tasks.
-
-    "The tasks are defined by partitioning the correlation matrices
-    along their rows" (Section 3.1.1).  Compatibility alias for
-    :func:`repro.exec.partition.partition_tasks`, the one place task
-    carving lives now.
-    """
-    from ..exec.partition import partition_tasks
-
-    return partition_tasks(n_voxels, task_voxels)
-
-
 # Task-invariant preprocessing (subject-contiguous regrouping + eq.-2
 # normalized epoch windows) cached per dataset *identity*: every task of
 # a voxel-selection run shares the same dataset object, so serial and
@@ -247,27 +232,3 @@ def preprocess_dataset(dataset: FMRIDataset) -> tuple[FMRIDataset, np.ndarray]:
 def clear_preprocess_cache() -> None:
     """Drop all memoized preprocessing (e.g. after mutating BOLD data)."""
     _PREPROCESS_CACHE.clear()
-
-
-def run_task(
-    dataset: FMRIDataset,
-    assigned: np.ndarray,
-    config: FCMAConfig = FCMAConfig(),
-) -> VoxelScores:
-    """Run the three-stage pipeline for one task's assigned voxels.
-
-    The dataset's epochs are re-grouped subject-contiguously first (the
-    layout stage 2 requires).  With a single-subject dataset the CV folds
-    are contiguous epoch k-folds (online mode); otherwise folds are
-    subjects (offline LOSO).
-
-    Compatibility shim: the implementation lives in the stage graph
-    (:func:`repro.exec.stage_graph.execute_task`); this wrapper runs it
-    under a throwaway :class:`~repro.exec.context.RunContext` and
-    returns bitwise-identical scores.  Pass a context of your own (via
-    ``execute_task`` or an executor) to keep the per-stage timings.
-    """
-    from ..exec.context import RunContext
-    from ..exec.stage_graph import execute_task
-
-    return execute_task(dataset, assigned, RunContext(config))

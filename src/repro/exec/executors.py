@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor as _StdProcessPool
-from typing import Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -41,6 +41,9 @@ from ..parallel.executor import (
 from .context import RunContext
 from .partition import auto_chunksize, partition_tasks
 from .stage_graph import execute_task
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..parallel.master_worker import WorkPlan
 
 __all__ = [
     "Executor",
@@ -234,10 +237,12 @@ PARTITION_NAMES = ("rows", "tiles")
 class MasterWorkerExecutor:
     """The paper's pull-based protocol over a pluggable transport.
 
-    Wraps :mod:`repro.parallel.master_worker` (1-D row partitioning)
-    and :mod:`repro.parallel.tiled` (2-D tile partitioning with
-    communication/compute overlap): rank 0 serves work on demand and
-    aggregates, ranks 1..n run the stage kernels.
+    Builds one work plan per run — row tasks
+    (:class:`~repro.parallel.master_worker.RowWork`, the paper's 1-D
+    partitioning) or 2-D tiles with communication/compute overlap
+    (:class:`~repro.parallel.tiled.TileWork`, dense variants only) —
+    and serves it through the one master loop: rank 0 hands out work
+    on demand and aggregates, ranks 1..n run the stage kernels.
 
     * ``transport="thread"`` (default) runs the ranks as in-process
       threads — the historical, bitwise-identical path.
@@ -294,26 +299,35 @@ class MasterWorkerExecutor:
         configured = getattr(ctx.config, "comm_timeout", None)
         return default_timeout() if configured is None else float(configured)
 
-    def _tile_stream(
+    def _plan(
         self,
         dataset: FMRIDataset,
         ctx: RunContext,
         voxels: NDArray[Any] | None,
-        n_voxels: int,
-    ) -> list[Any]:
+    ) -> "WorkPlan":
+        """The run's work plan: row tasks, or tiles of the same panels."""
+        from ..parallel.master_worker import RowWork
+        from ..parallel.tiled import TileWork
         from .partition import partition_tiles, tile_cols_for
 
+        tasks = _task_stream(dataset, ctx, voxels)
+        if self.partition == "rows":
+            return RowWork(tasks)
+        # Tile geometry needs the preprocessed shape; the per-process
+        # cache makes this free for thread-rank workers.
+        _, z = preprocess_dataset(dataset)
+        n_epochs, n_voxels = z.shape[0], z.shape[1]
         config = ctx.config
-        n_panels = len(_task_stream(dataset, ctx, voxels))
         cols = (
             self.tile_cols
             if self.tile_cols is not None
             else tile_cols_for(
-                n_voxels, config.target_block, self.n_workers, n_panels
+                n_voxels, config.target_block, self.n_workers, len(tasks)
             )
         )
         ctx.metadata["tile_cols"] = cols
-        return partition_tiles(n_voxels, config.task_voxels, cols, voxels)
+        tiles = partition_tiles(n_voxels, config.task_voxels, cols, voxels)
+        return TileWork(tiles, n_voxels, n_epochs)
 
     def run(
         self,
@@ -322,38 +336,37 @@ class MasterWorkerExecutor:
         voxels: NDArray[Any] | None = None,
     ) -> VoxelScores:
         from ..parallel.master_worker import _master_loop, _worker_loop
-        from ..parallel.tiled import tiled_master_loop, tiled_worker_loop
+        from ..parallel.tiled import tiled_worker_loop
 
+        emitter = ctx.config.resolved_emitter()
+        if self.partition == "tiles" and emitter != "dense":
+            # Tiles carry the dense emitter's arithmetic; any other
+            # variant would silently come back as dense scores.
+            raise ValueError(
+                f"partition 'tiles' computes dense stage-1/2 tiles; variant "
+                f"{ctx.config.variant!r} (emitter {emitter!r}) needs "
+                f"partition 'rows'"
+            )
         timeout = self._timeout(ctx)
         with ctx.run_span(self.name, dataset):
             t0 = time.perf_counter()
-            tasks = _task_stream(dataset, ctx, voxels)
-            tiled = self.partition == "tiles"
-            if tiled or self.transport == "tcp":
-                # Tile geometry (and the TCP broadcast) need the
-                # preprocessed shape; the per-process cache makes this
-                # free for the workers that preprocess again.
-                _, z = preprocess_dataset(dataset)
-                n_epochs, n_voxels = z.shape[0], z.shape[1]
-            tiles = (
-                self._tile_stream(dataset, ctx, voxels, n_voxels)
-                if tiled
-                else []
-            )
-            n_work = len(tiles) + len(tasks) if tiled else len(tasks)
+            plan = self._plan(dataset, ctx, voxels)
+            totals = plan.totals()
             live = current_live()
             if live is not None:
-                # Declare the blocking plan's denominators up front so
-                # the first snapshot already knows 0/N; the master loops
-                # tick the matching counters as results arrive.
-                live.set_total("tasks", len(tasks))
-                if tiled:
-                    live.set_total("tiles", len(tiles))
+                # Declare the plan's denominators up front so the first
+                # snapshot already knows 0/N; the master loop ticks the
+                # matching counters as results arrive.
+                for counter, total in totals.items():
+                    live.set_total(counter, total)
                 live.set_gauge("n_workers", float(self.n_workers))
 
             if self.transport == "tcp":
-                scores = self._run_tcp(dataset, ctx, tasks, tiles, timeout)
+                scores = self._run_tcp(dataset, ctx, plan, timeout)
             else:
+                worker_loop = (
+                    tiled_worker_loop if self.partition == "tiles" else _worker_loop
+                )
                 # Per-rank contexts keep the hot path lock-free; merged below.
                 worker_ctxs = [
                     RunContext(ctx.config) for _ in range(self.n_workers)
@@ -369,32 +382,12 @@ class MasterWorkerExecutor:
                     # reference.
                     ds = comm.bcast(dataset if comm.rank == 0 else None)
                     if comm.rank == 0:
-                        if tiled:
-                            result = tiled_master_loop(
-                                comm,
-                                tiles,
-                                n_voxels,
-                                n_epochs,
-                                max_retries=self.max_retries,
-                            )
-                        else:
-                            result = _master_loop(
-                                comm, tasks, max_retries=self.max_retries
-                            )
+                        result = _master_loop(
+                            comm, plan, max_retries=self.max_retries
+                        )
                         master_stats.append(comm.stats)
                         return result
-                    wctx = worker_ctxs[comm.rank - 1]
-                    if tiled:
-                        return tiled_worker_loop(comm, ds, ctx.config, wctx)
-
-                    def run_one(
-                        d: FMRIDataset,
-                        assigned: NDArray[np.int64],
-                        _cfg: FCMAConfig,
-                    ) -> VoxelScores:
-                        return execute_task(d, assigned, wctx)
-
-                    return _worker_loop(comm, ds, ctx.config, run=run_one)
+                    return worker_loop(comm, ds, worker_ctxs[comm.rank - 1])
 
                 results = run_ranks(self.n_workers + 1, spmd, timeout=timeout)
                 for wctx in worker_ctxs:
@@ -406,7 +399,7 @@ class MasterWorkerExecutor:
 
             assert isinstance(scores, VoxelScores)
             elapsed = time.perf_counter() - t0
-            _finish(ctx, self, n_work, elapsed)
+            _finish(ctx, self, sum(totals.values()), elapsed)
             ctx.metadata["n_workers"] = self.n_workers
             ctx.metadata["transport"] = self.transport
             ctx.metadata["partition"] = self.partition
@@ -424,16 +417,13 @@ class MasterWorkerExecutor:
         self,
         dataset: FMRIDataset,
         ctx: RunContext,
-        tasks: list[NDArray[np.int64]],
-        tiles: list[Any],
+        plan: "WorkPlan",
         timeout: float,
     ) -> VoxelScores:
         from ..parallel.master_worker import _master_loop
-        from ..parallel.tiled import collect_worker_reports, tiled_master_loop
+        from ..parallel.tiled import collect_worker_reports
         from ..parallel.transport import TcpListener, spawn_local_workers
 
-        _, z = preprocess_dataset(dataset)
-        n_epochs, n_voxels = z.shape[0], z.shape[1]
         listener = TcpListener(self.host, self.port)
         address = listener.address
         procs: list[Any] = []
@@ -458,22 +448,9 @@ class MasterWorkerExecutor:
                 }
             )
             early_reports: dict[int, Any] = {}
-            if self.partition == "tiles":
-                scores = tiled_master_loop(
-                    comm,
-                    tiles,
-                    n_voxels,
-                    n_epochs,
-                    max_retries=self.max_retries,
-                    reports=early_reports,
-                )
-            else:
-                scores = _master_loop(
-                    comm,
-                    tasks,
-                    max_retries=self.max_retries,
-                    reports=early_reports,
-                )
+            scores = _master_loop(
+                comm, plan, max_retries=self.max_retries, reports=early_reports
+            )
             reports = collect_worker_reports(
                 comm, set(transport.alive_workers()), early_reports
             )

@@ -2,8 +2,7 @@
 
 :class:`StageGraph` expresses the paper's three-stage pipeline —
 correlate (Section 3.1 stage 1), normalize (stage 2), SVM-score
-(stage 3) — as named nodes with declared inputs and outputs, replacing
-the hard-coded sequencing that used to live inside ``run_task``.  Each
+(stage 3) — as named nodes with declared inputs and outputs.  Each
 node's wall time is charged to the :class:`~repro.exec.context.RunContext`
 under the node's name, so every executor emits identical per-stage
 telemetry.
@@ -21,8 +20,9 @@ Three built-in graphs mirror ``FCMAConfig.variant``:
 * ``sparse-batched`` — the same engine through ``CSREmitter``:
   thresholded CSR correlations and a sparse-Gram ``score`` node.
 
-All graphs reproduce the legacy ``run_task`` results bitwise; the
-equivalence is pinned by ``tests/exec/test_stage_graph.py``.
+Every executor runs its tasks through :func:`execute_task`, so serial,
+pool and master-worker runs agree bitwise (pinned by
+``tests/exec/test_executors.py``).
 """
 
 from __future__ import annotations
@@ -446,10 +446,10 @@ def execute_task(
 ) -> VoxelScores:
     """Run one task's assigned voxels through the configured graph.
 
-    This is the single implementation behind the legacy ``run_task``
-    shim and every executor; the task runs inside a ``task`` span (so
-    per-stage wall time lands in ``ctx`` and the task's total appears
-    in ``ctx.task_seconds``, both derived from the trace).
+    This is the single implementation behind every executor; the task
+    runs inside a ``task`` span (so per-stage wall time lands in ``ctx``
+    and the task's total appears in ``ctx.task_seconds``, both derived
+    from the trace).
     """
     assigned = np.asarray(assigned, dtype=np.int64)
     if assigned.ndim != 1 or assigned.size == 0:

@@ -1,6 +1,6 @@
 """Parallel runtime: MPI-like comm over pluggable transports (in-process
 threads, length-prefixed TCP), the master-worker protocol with 1-D row and
-2-D tile partitioning, and the multiprocessing executor."""
+2-D tile work plans, and the zero-copy dataset sharing of the process pool."""
 
 from .comm import (
     ANY_SOURCE,
@@ -14,15 +14,8 @@ from .comm import (
     default_timeout,
     run_ranks,
 )
-from .executor import (
-    SharedDatasetHandle,
-    attach_shared_dataset,
-    parallel_voxel_selection,
-    serial_voxel_selection,
-    share_dataset,
-)
-from .master_worker import master_loop, mpi_voxel_selection, worker_loop
-from .tiled import collect_worker_reports, tiled_master_loop, tiled_worker_loop
+from .executor import SharedDatasetHandle, attach_shared_dataset, share_dataset
+from .tiled import collect_worker_reports, tiled_worker_loop
 from .transport import TcpListener, TcpTransport, spawn_local_workers
 
 __all__ = [
@@ -40,14 +33,8 @@ __all__ = [
     "attach_shared_dataset",
     "collect_worker_reports",
     "default_timeout",
-    "master_loop",
-    "mpi_voxel_selection",
-    "parallel_voxel_selection",
     "run_ranks",
-    "serial_voxel_selection",
     "share_dataset",
     "spawn_local_workers",
-    "tiled_master_loop",
     "tiled_worker_loop",
-    "worker_loop",
 ]

@@ -15,9 +15,7 @@ start on *other* hosts when the master runs with
 from __future__ import annotations
 
 import argparse
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .comm import Comm, default_timeout
 from .master_worker import TAG_DONE, _worker_loop
@@ -45,21 +43,12 @@ def run_worker(comm: Comm) -> int:
     item count.
     """
     from ..exec.context import RunContext
-    from ..exec.stage_graph import execute_task
 
     setup = comm.bcast(None)
-    config = setup["config"]
-    dataset = setup["dataset"]
-    partition = setup.get("partition", "rows")
-    ctx = RunContext(config)
-    if partition == "tiles":
-        completed = tiled_worker_loop(comm, dataset, config, ctx)
-    else:
-
-        def run_one(d: Any, assigned: np.ndarray, _cfg: Any) -> Any:
-            return execute_task(d, assigned, ctx)
-
-        completed = _worker_loop(comm, dataset, config, run=run_one)
+    ctx = RunContext(setup["config"])
+    tiled = setup["partition"] == "tiles"
+    worker_loop = tiled_worker_loop if tiled else _worker_loop
+    completed = worker_loop(comm, setup["dataset"], ctx)
     stats = comm.stats
     ctx.increment("comm.bytes_sent", stats.bytes_sent)
     ctx.increment("comm.bytes_recv", stats.bytes_recv)

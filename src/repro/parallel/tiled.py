@@ -1,18 +1,23 @@
-"""2-D tile-partitioned master-worker voxel selection.
+"""2-D tile partitioning of the master-worker protocol.
 
-The row-partitioned protocol (:mod:`repro.parallel.master_worker`)
-ships whole correlation row panels as single tasks — the paper's 1-D
-decomposition.  This module distributes the *tiles* of the
+The row plan (:class:`repro.parallel.master_worker.RowWork`) ships
+whole correlation row panels as single tasks — the paper's 1-D
+decomposition.  :class:`TileWork` distributes the *tiles* of the
 ``(assigned × all-voxels)`` stage-1/2 matrix instead, the scheme that
 scaled all-pairs Pearson to thousands of cores in *Parallel Pairwise
-Correlation Computation on Intel Xeon Phi Clusters*:
+Correlation Computation on Intel Xeon Phi Clusters*.  Both plans run
+under the same scheduler,
+:func:`repro.parallel.master_worker._master_loop`, which owns retries,
+parked workers and worker loss; this module holds only what tiles do
+differently:
 
 * **Tile tasks.**  :func:`repro.exec.partition.partition_tiles` carves
   row panels × column blocks; a worker computes one tile's fused
   stage 1/2 (per-tile gemm + in-cache
   :func:`~repro.core.normalization.fuse_normalize_tile`, the bitwise
   tiling-invariant kernel of the engine's tiled mode) and returns the
-  normalized block.
+  normalized block.  Dense output only: the tiles are the dense
+  emitter's arithmetic.
 * **Owner-computes merge.**  The master owns panel assembly
   (:class:`~repro.core.results.PanelAssembler`): tiles land in any
   order from any worker; a completed panel immediately becomes a
@@ -22,12 +27,15 @@ Correlation Computation on Intel Xeon Phi Clusters*:
   travels (and the next tile is chosen) while the gemm runs.  The
   exposed remainder is timed under the ``comm.fetch_wait`` stage; the
   hidden part accumulates in the ``overlap_hidden_seconds`` counter.
-* **Fault tolerance at tile granularity.**  TAG_ERROR re-queues a
-  single tile/score item (sorted, deterministic); TAG_PEER_LOST
-  re-queues everything the dead worker had in flight.  Because the
-  per-tile kernels are bitwise deterministic, results are identical
-  whichever worker re-runs a tile — worker loss is invisible in the
-  output bits.
+* **Fault tolerance at tile granularity.**  A failed or lost item is
+  a single tile or score; because the per-tile kernels are bitwise
+  deterministic, results are identical whichever worker re-runs a
+  tile — worker loss is invisible in the output bits.
+
+Why rows keep their own plan: a row task carries voxel ids out and
+scores back, while a full-width tile would carry the whole normalized
+panel (rows × epochs × voxels of float32) to the master and back again
+for scoring.
 
 Work-item payloads (over TAG_TASK/TAG_RESULT of the same tag set as
 the row protocol):
@@ -42,9 +50,7 @@ kind      TAG_TASK payload                         TAG_RESULT payload
 
 from __future__ import annotations
 
-import bisect
 import time
-from collections import deque
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -54,7 +60,7 @@ from ..core.pipeline import FCMAConfig, preprocess_dataset
 from ..core.results import PanelAssembler, VoxelScores
 from ..data.dataset import FMRIDataset
 from ..obs.live.runtime import current_live
-from .comm import Comm, TAG_PEER_LOST, TAG_TELEMETRY
+from .comm import Comm, TAG_PEER_LOST
 from .master_worker import (
     TAG_DONE,
     TAG_ERROR,
@@ -63,7 +69,8 @@ from .master_worker import (
     TAG_STOP,
     TAG_TASK,
     TELEMETRY_INTERVAL,
-    TaskFailedError,
+    Lane,
+    WorkKey,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,15 +78,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.partition import TileTask
 
 __all__ = [
+    "TileWork",
     "collect_worker_reports",
     "compute_tile",
     "score_panel",
-    "tiled_master_loop",
     "tiled_worker_loop",
 ]
-
-#: Work-item key: ("tile", tile index) or ("score", panel id).
-WorkKey = tuple[str, int]
 
 
 def compute_tile(
@@ -118,7 +122,6 @@ def score_panel(
     config: FCMAConfig,
     rows: np.ndarray,
     correlations: np.ndarray,
-    ctx: "RunContext",
 ) -> VoxelScores:
     """Stage 3 of one assembled row panel (same path as the stage graph)."""
     from ..core.voxel_selection import score_voxels
@@ -141,208 +144,92 @@ def score_panel(
     )
 
 
-def tiled_master_loop(
-    comm: Comm,
-    tiles: Sequence["TileTask"],
-    n_voxels: int,
-    n_epochs: int,
-    max_retries: int = 2,
-    reports: dict[int, Any] | None = None,
-) -> VoxelScores:
-    """Serve tile and score tasks until every panel is scored.
+class TileWork:
+    """2-D tile work: tiles assemble into panels, panels become scores.
 
-    Runs on rank 0.  Dispatch priority: re-queued score items, freshly
-    completed panels, re-queued tiles, fresh tiles — all in sorted id
+    Tile results feed the :class:`~repro.core.results.PanelAssembler`;
+    a completed panel becomes a score item.  Dispatch order: re-queued
+    scores, completed panels, re-queued tiles, fresh tiles — each in id
     order, so scheduling is deterministic given the same event
-    sequence.  Workers that ask while all current work is in flight are
-    parked and woken by the next completion or re-queue.
+    sequence.  A panel buffer is released once its scores arrive.
     """
-    if comm.rank != 0:
-        raise ValueError("tiled_master_loop must run on rank 0")
-    if max_retries < 1:
-        raise ValueError("max_retries must be >= 1")
-    if comm.size - 1 < 1:
-        raise ValueError("need at least one worker rank")
-    if not tiles:
-        raise ValueError("no tiles to serve")
 
-    assembler = PanelAssembler(n_voxels, n_epochs)
-    panel_tiles: dict[int, int] = {}
-    for t in tiles:
-        panel_tiles[t.panel] = panel_tiles.get(t.panel, 0) + 1
-    for panel_id in sorted(panel_tiles):
-        rows = next(t.rows for t in tiles if t.panel == panel_id)
-        assembler.expect(panel_id, rows, panel_tiles[panel_id])
+    counters = {"tile": "tiles", "score": "tasks"}
 
-    tile_pending = deque(range(len(tiles)))
-    retry_tiles: list[int] = []
-    retry_scores: list[int] = []
-    score_ready: list[int] = []  # completed panels awaiting dispatch
-    scores: dict[int, VoxelScores] = {}
-    attempts: dict[WorkKey, int] = {}
-    in_flight: dict[int, set[WorkKey]] = {}
-    failure: tuple[WorkKey, str] | None = None
-    parked: deque[int] = deque()
-    active = set(range(1, comm.size))
-    stopped: set[int] = set()
-    n_panels = len(panel_tiles)
+    def __init__(
+        self, tiles: Sequence["TileTask"], n_voxels: int, n_epochs: int
+    ) -> None:
+        if not tiles:
+            raise ValueError("no tiles to serve")
+        self.tiles = list(tiles)
+        self._assembler = PanelAssembler(n_voxels, n_epochs)
+        panels: dict[int, list["TileTask"]] = {}
+        for t in self.tiles:
+            panels.setdefault(t.panel, []).append(t)
+        for panel_id in sorted(panels):
+            first = panels[panel_id][0]
+            self._assembler.expect(panel_id, first.rows, len(panels[panel_id]))
+        self._n_panels = len(panels)
+        self._scoring = Lane()
+        self._tiling = Lane(range(len(self.tiles)))
+        self._scores: dict[int, VoxelScores] = {}
 
-    def send_tile(dest: int, idx: int) -> None:
-        t = tiles[idx]
-        key: WorkKey = ("tile", idx)
-        attempts[key] = attempts.get(key, 0) + 1
-        in_flight.setdefault(dest, set()).add(key)
-        comm.send(
-            ("tile", idx, t.panel, np.asarray(t.rows), t.col_start, t.col_stop),
-            dest,
-            TAG_TASK,
-        )
+    def totals(self) -> dict[str, int]:
+        return {"tasks": self._n_panels, "tiles": len(self.tiles)}
 
-    def send_score(dest: int, panel_id: int) -> None:
-        key: WorkKey = ("score", panel_id)
-        attempts[key] = attempts.get(key, 0) + 1
-        in_flight.setdefault(dest, set()).add(key)
-        comm.send(
-            (
+    def has_work(self) -> bool:
+        return bool(self._scoring or self._tiling)
+
+    def take(self) -> tuple[WorkKey, Any] | None:
+        if self._scoring:
+            panel_id = self._scoring.pop()
+            payload: tuple[Any, ...] = (
                 "score",
                 panel_id,
-                assembler.rows_of(panel_id),
-                assembler.panel_buffer(panel_id),
-            ),
-            dest,
-            TAG_TASK,
-        )
+                self._assembler.rows_of(panel_id),
+                self._assembler.panel_buffer(panel_id),
+            )
+            return ("score", panel_id), payload
+        if self._tiling:
+            idx = self._tiling.pop()
+            t = self.tiles[idx]
+            payload = (
+                "tile", idx, t.panel, np.asarray(t.rows), t.col_start, t.col_stop
+            )
+            return ("tile", idx), payload
+        return None
 
-    def dispatch(dest: int) -> bool:
-        if retry_scores:
-            send_score(dest, retry_scores.pop(0))
-        elif score_ready:
-            send_score(dest, score_ready.pop(0))
-        elif retry_tiles:
-            send_tile(dest, retry_tiles.pop(0))
-        elif tile_pending:
-            send_tile(dest, tile_pending.popleft())
-        else:
-            return False
-        return True
-
-    def work_outstanding() -> bool:
-        return bool(
-            retry_scores
-            or score_ready
-            or retry_tiles
-            or tile_pending
-            or any(in_flight.values())
-        )
-
-    def drain_parked() -> None:
-        while parked and (retry_scores or score_ready or retry_tiles or tile_pending):
-            dispatch(parked.popleft())
-        if not work_outstanding():
-            while parked:
-                rank = parked.popleft()
-                comm.send(None, rank, TAG_STOP)
-                stopped.add(rank)
-
-    def requeue(key: WorkKey, *, refund: bool) -> None:
-        if refund:
-            attempts[key] = max(0, attempts.get(key, 1) - 1)
+    def requeue(self, key: WorkKey) -> None:
         kind, ident = key
-        if kind == "tile":
-            bisect.insort(retry_tiles, ident)
-        else:
-            bisect.insort(retry_scores, ident)
+        (self._tiling if kind == "tile" else self._scoring).requeue(ident)
 
-    live = current_live()
-    while len(stopped) < len(active):
-        src, tag, payload = comm.recv()
-        if live is not None and tag != TAG_PEER_LOST:
-            live.heartbeat(src)
-        if tag == TAG_TELEMETRY:
-            if live is not None and isinstance(payload, dict):
-                live.heartbeat(src, completed=payload.get("completed"))
-            continue
-        if tag == TAG_DONE:
-            # Post-stop telemetry from an already-stopped worker (TCP
-            # workers report before disconnecting); collected here for
-            # collect_worker_reports to pick up after the loop.
-            if reports is not None:
-                reports[src] = payload
-            continue
-        if tag == TAG_REQUEST:
-            if dispatch(src):
-                pass
-            elif work_outstanding():
-                parked.append(src)
-            else:
-                comm.send(None, src, TAG_STOP)
-                stopped.add(src)
-        elif tag == TAG_RESULT:
-            kind = payload[0]
-            if kind == "tile":
-                _, idx, panel_id, c0, c1, block = payload
-                in_flight.get(src, set()).discard(("tile", idx))
-                if live is not None:
-                    live.inc("tiles")
-                done = assembler.add(panel_id, c0, c1, block)
-                if done is not None:
-                    bisect.insort(score_ready, panel_id)
-            else:
-                _, panel_id, result = payload
-                in_flight.get(src, set()).discard(("score", panel_id))
-                if live is not None:
-                    live.inc("tasks")
-                if panel_id not in scores:
-                    scores[panel_id] = result
-                    assembler.release(panel_id)
-            drain_parked()
-        elif tag == TAG_ERROR:
-            key, message = payload
-            key = (key[0], key[1])
-            in_flight.get(src, set()).discard(key)
-            if attempts.get(key, 0) < max_retries:
-                requeue(key, refund=False)
-            elif failure is None:
-                failure = (key, message)
-            if live is not None:
-                live.inc("task_errors")
-            drain_parked()
-        elif tag == TAG_PEER_LOST:
-            if live is not None:
-                live.worker_lost(src)
-            if src not in active:
-                continue
-            active.discard(src)
-            stopped.discard(src)
-            if src in parked:
-                parked.remove(src)
-            for key in sorted(in_flight.pop(src, set())):
-                requeue(key, refund=True)
-            if not active and work_outstanding():
-                raise RuntimeError(
-                    "all workers lost with tile/score work unfinished"
-                )
-            drain_parked()
-        else:
-            raise RuntimeError(f"master got unexpected tag {tag} from {src}")
+    def accept(self, payload: Any) -> WorkKey:
+        if payload[0] == "tile":
+            _, idx, panel_id, c0, c1, block = payload
+            if self._assembler.add(panel_id, c0, c1, block) is not None:
+                self._scoring.add(panel_id)
+            return ("tile", idx)
+        _, panel_id, result = payload
+        if panel_id not in self._scores:
+            self._scores[panel_id] = result
+            self._assembler.release(panel_id)
+        return ("score", panel_id)
 
-    if failure is not None:
-        (kind, ident), message = failure
-        raise TaskFailedError(
-            f"{kind} task {ident} failed after {max_retries} attempts: "
-            f"{message}"
-        )
-    missing = [p for p in range(n_panels) if p not in scores]
-    if missing:
-        raise RuntimeError(f"panels without scores: {missing}")
-    parts = [scores[p] for p in range(n_panels)]
-    return VoxelScores.concatenate(parts).sorted_by_accuracy()
+    def failed(self, payload: Any) -> tuple[WorkKey, str]:
+        (kind, ident), message = payload
+        return (kind, ident), message
+
+    def finish(self) -> VoxelScores:
+        missing = [p for p in range(self._n_panels) if p not in self._scores]
+        if missing:
+            raise RuntimeError(f"panels without scores: {missing}")
+        parts = [self._scores[p] for p in range(self._n_panels)]
+        return VoxelScores.concatenate(parts).sorted_by_accuracy()
 
 
 def tiled_worker_loop(
     comm: Comm,
     dataset: FMRIDataset,
-    config: FCMAConfig,
     ctx: "RunContext",
 ) -> int:
     """Pull tile/score work until stopped; returns items completed.
@@ -355,7 +242,7 @@ def tiled_worker_loop(
     per item (TAG_ERROR) and the loop keeps serving.
     """
     if comm.rank == 0:
-        raise ValueError("tiled_worker_loop must not run on rank 0")
+        raise ValueError("a worker loop must not run on rank 0")
     grouped, z = preprocess_dataset(dataset)
     epochs_per_subject = grouped.epochs.epochs_per_subject()
     workspace = NormalizationWorkspace()
@@ -420,7 +307,7 @@ def tiled_worker_loop(
                 corr = np.ascontiguousarray(corr, dtype=np.float32)
                 with ctx.task_span(rows.size, int(rows[0])) as span:
                     with ctx.tracer.span("score_panel", kind="kernel") as kspan:
-                        result = score_panel(grouped, config, rows, corr, ctx)
+                        result = score_panel(grouped, ctx.config, rows, corr)
                         kspan.add_metric("voxels", float(rows.size))
                     span.add_metric("voxels", float(rows.size))
                 comm.send(("score", panel_id, result), 0, TAG_RESULT)

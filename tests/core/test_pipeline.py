@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.core import FCMAConfig, VoxelScores, run_task, task_partition
+from repro.core import FCMAConfig, VoxelScores
 from repro.core.pipeline import (
     clear_preprocess_cache,
     make_backend,
     preprocess_dataset,
 )
 from repro.data import ground_truth_voxels
+from repro.exec import RunContext
+from repro.exec.partition import partition_tasks
+from repro.exec.stage_graph import execute_task
 from repro.svm import LibSVMClassifier, PhiSVM
+
+
+def _run(dataset, assigned, **config):
+    """One task through the stage graph under a fresh context."""
+    return execute_task(dataset, assigned, RunContext(FCMAConfig(**config)))
 
 
 class TestConfig:
@@ -89,7 +97,7 @@ class TestPreprocessCache:
         import repro.core.pipeline as pipeline_mod
 
         clear_preprocess_cache()
-        run_task(tiny_dataset, np.array([0, 1]), FCMAConfig(target_block=32))
+        _run(tiny_dataset, np.array([0, 1]), target_block=32)
         calls = []
         orig = tiny_dataset.grouped_by_subject
         monkeypatch.setattr(
@@ -97,7 +105,7 @@ class TestPreprocessCache:
             "grouped_by_subject",
             lambda self: calls.append(1) or orig(),
         )
-        run_task(tiny_dataset, np.array([2, 3]), FCMAConfig(target_block=32))
+        _run(tiny_dataset, np.array([2, 3]), target_block=32)
         assert calls == []
 
     def test_clear_forces_recompute(self, tiny_dataset):
@@ -109,31 +117,31 @@ class TestPreprocessCache:
 
 class TestTaskPartition:
     def test_covers_all_voxels(self):
-        tasks = task_partition(1000, 120)
+        tasks = partition_tasks(1000, 120)
         assert sum(t.size for t in tasks) == 1000
         np.testing.assert_array_equal(
             np.concatenate(tasks), np.arange(1000)
         )
 
     def test_last_task_short(self):
-        tasks = task_partition(250, 120)
+        tasks = partition_tasks(250, 120)
         assert [t.size for t in tasks] == [120, 120, 10]
 
     def test_face_scene_task_count(self):
         # 34470 voxels / 120 per task = 288 tasks (Section 3.3).
-        assert len(task_partition(34470, 120)) == 288
+        assert len(partition_tasks(34470, 120)) == 288
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            task_partition(0, 120)
+            partition_tasks(0, 120)
         with pytest.raises(ValueError):
-            task_partition(10, 0)
+            partition_tasks(10, 0)
 
 
 class TestRunTask:
     def test_returns_scores_for_assigned(self, tiny_dataset):
         assigned = np.array([3, 7, 20])
-        scores = run_task(tiny_dataset, assigned, FCMAConfig(target_block=32))
+        scores = _run(tiny_dataset, assigned, target_block=32)
         assert isinstance(scores, VoxelScores)
         np.testing.assert_array_equal(scores.voxels, assigned)
         assert (scores.accuracies >= 0).all() and (scores.accuracies <= 1).all()
@@ -142,10 +150,8 @@ class TestRunTask:
         """Both variants must produce (near-)identical voxel scores —
         the optimizations are performance-only."""
         assigned = np.arange(20)
-        opt = run_task(tiny_dataset, assigned, FCMAConfig(target_block=32))
-        base = run_task(
-            tiny_dataset, assigned, FCMAConfig(variant="baseline")
-        )
+        opt = _run(tiny_dataset, assigned, target_block=32)
+        base = _run(tiny_dataset, assigned, variant="baseline")
         # Same float32 pipeline values; solvers differ only in precision
         # and heuristic path, so accuracies match closely.
         assert np.abs(opt.accuracies - base.accuracies).mean() < 0.05
@@ -154,28 +160,24 @@ class TestRunTask:
         gt = ground_truth_voxels(tiny_config)
         others = np.setdiff1d(np.arange(tiny_config.n_voxels), gt)[: len(gt)]
         assigned = np.concatenate([gt, others])
-        scores = run_task(tiny_dataset, assigned, FCMAConfig(target_block=32))
+        scores = _run(tiny_dataset, assigned, target_block=32)
         acc_gt = scores.accuracies[: len(gt)].mean()
         acc_other = scores.accuracies[len(gt):].mean()
         assert acc_gt > acc_other + 0.15
 
     def test_single_subject_uses_kfold(self, tiny_dataset):
         single = tiny_dataset.single_subject(0)
-        scores = run_task(
-            single, np.arange(6), FCMAConfig(target_block=32, online_folds=4)
-        )
+        scores = _run(single, np.arange(6), target_block=32, online_folds=4)
         assert len(scores) == 6
 
     def test_empty_assignment_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
-            run_task(tiny_dataset, np.array([], dtype=np.int64))
+            _run(tiny_dataset, np.array([], dtype=np.int64))
 
     def test_epoch_order_invariance(self, tiny_dataset):
         """Scores are computed after subject-grouping, so the caller's
         epoch order must not matter."""
         assigned = np.array([1, 2])
-        a = run_task(tiny_dataset, assigned, FCMAConfig(target_block=32))
-        b = run_task(
-            tiny_dataset.grouped_by_subject(), assigned, FCMAConfig(target_block=32)
-        )
+        a = _run(tiny_dataset, assigned, target_block=32)
+        b = _run(tiny_dataset.grouped_by_subject(), assigned, target_block=32)
         np.testing.assert_allclose(a.accuracies, b.accuracies)

@@ -132,13 +132,14 @@ class TestPreprocessDataset:
 
     def test_pipeline_still_recovers_signal(self, tiny_dataset, tiny_config):
         """Preprocessing must not destroy the planted correlations."""
-        from repro.core import FCMAConfig, run_task
+        from repro.core import FCMAConfig
+        from repro.exec import RunContext
+        from repro.exec.stage_graph import execute_task
         from repro.data import ground_truth_voxels
 
         pre = preprocess_dataset(tiny_dataset, detrend_order=1)
-        scores = run_task(
-            pre, np.arange(tiny_config.n_voxels), FCMAConfig(target_block=32)
-        )
+        ctx = RunContext(FCMAConfig(target_block=32))
+        scores = execute_task(pre, np.arange(tiny_config.n_voxels), ctx)
         gt = set(ground_truth_voxels(tiny_config).tolist())
         top = set(scores.top(len(gt)).voxels.tolist())
         assert len(top & gt) / len(gt) > 0.5

@@ -141,6 +141,34 @@ class TestTraceEquivalence:
             )
 
 
+class TestRunTwiceDeterminism:
+    """Each executor run twice on the same inputs: identical results.
+
+    Catches an executor that re-derives (or drops) seeded state between
+    runs, even when single-run parity with the serial executor holds.
+    """
+
+    @staticmethod
+    def _assert_twice_identical(executor, dataset, config):
+        first = executor.run(dataset, RunContext(config))
+        second = executor.run(dataset, RunContext(config))
+        np.testing.assert_array_equal(first.voxels, second.voxels)
+        np.testing.assert_array_equal(first.accuracies, second.accuracies)
+
+    def test_pool_twice(self, tiny_dataset, fast_fcma_config):
+        self._assert_twice_identical(
+            ProcessPoolExecutor(n_workers=2), tiny_dataset, fast_fcma_config
+        )
+
+    @pytest.mark.parametrize("partition", ["rows", "tiles"])
+    def test_master_worker_twice(self, tiny_dataset, fast_fcma_config, partition):
+        self._assert_twice_identical(
+            MasterWorkerExecutor(n_workers=2, partition=partition),
+            tiny_dataset,
+            fast_fcma_config,
+        )
+
+
 class TestTelemetry:
     @pytest.mark.parametrize("name", EXECUTOR_NAMES)
     def test_every_executor_fills_the_context(

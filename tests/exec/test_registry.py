@@ -66,7 +66,8 @@ class TestRegistration:
         assert hasattr(backend, "fit_kernel")
 
     def test_custom_backend_scores_voxels(self, tiny_dataset):
-        from repro.core import run_task
+        from repro.exec import RunContext
+        from repro.exec.stage_graph import execute_task
 
         register_backend(
             "libsvm-again",
@@ -74,15 +75,15 @@ class TestRegistration:
                 LibSVMClassifier(c=cfg.svm_c, tol=cfg.svm_tol)
             ),
         )
-        custom = run_task(
+        custom = execute_task(
             tiny_dataset,
             np.arange(10),
-            FCMAConfig(svm_backend="libsvm-again", task_voxels=40),
+            RunContext(FCMAConfig(svm_backend="libsvm-again", task_voxels=40)),
         )
-        stock = run_task(
+        stock = execute_task(
             tiny_dataset,
             np.arange(10),
-            FCMAConfig(svm_backend="libsvm", task_voxels=40),
+            RunContext(FCMAConfig(svm_backend="libsvm", task_voxels=40)),
         )
         np.testing.assert_array_equal(custom.voxels, stock.voxels)
         np.testing.assert_array_equal(custom.accuracies, stock.accuracies)

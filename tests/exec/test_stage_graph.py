@@ -1,12 +1,13 @@
-"""Stage graph: validation, telemetry, and run_task equivalence."""
+"""Stage graph: validation, telemetry, and executor equivalence."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import FCMAConfig, run_task
+from repro.core import FCMAConfig
 from repro.exec.context import RunContext
+from repro.exec.executors import SerialExecutor
 from repro.exec.stage_graph import (
     Stage,
     StageGraph,
@@ -110,10 +111,15 @@ class TestExecuteTask:
     def test_bitwise_identical_to_run_task(self, tiny_dataset, variant):
         config = FCMAConfig(variant=variant, task_voxels=40, target_block=32)
         assigned = np.arange(20, dtype=np.int64)
-        legacy = run_task(tiny_dataset, assigned, config)
-        graph = execute_task(tiny_dataset, assigned, RunContext(config))
-        np.testing.assert_array_equal(legacy.voxels, graph.voxels)
-        np.testing.assert_array_equal(legacy.accuracies, graph.accuracies)
+        # One task's worth of voxels: the executor runs exactly this graph.
+        via_executor = SerialExecutor().run(
+            tiny_dataset, RunContext(config), assigned
+        )
+        graph = execute_task(
+            tiny_dataset, assigned, RunContext(config)
+        ).sorted_by_accuracy()
+        np.testing.assert_array_equal(via_executor.voxels, graph.voxels)
+        np.testing.assert_array_equal(via_executor.accuracies, graph.accuracies)
 
     def test_records_stage_and_task_telemetry(self, tiny_dataset, fast_fcma_config):
         ctx = RunContext(fast_fcma_config)

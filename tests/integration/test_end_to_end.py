@@ -5,11 +5,12 @@ import pytest
 
 from repro import (
     FCMAConfig,
+    MasterWorkerExecutor,
+    ProcessPoolExecutor,
+    RunContext,
+    SerialExecutor,
     generate_dataset,
     ground_truth_voxels,
-    mpi_voxel_selection,
-    parallel_voxel_selection,
-    serial_voxel_selection,
 )
 from repro.analysis import (
     run_offline_analysis,
@@ -18,6 +19,11 @@ from repro.analysis import (
     significant_voxels,
 )
 from repro.data import SyntheticConfig, load_dataset, save_dataset
+
+
+def _select(dataset, config, executor=None, voxels=None):
+    executor = executor if executor is not None else SerialExecutor()
+    return executor.run(dataset, RunContext(config), voxels)
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +42,14 @@ class TestROIRecovery:
 
     def test_top_voxels_recover_planted_roi(self, system):
         cfg, ds, fcma = system
-        scores = serial_voxel_selection(ds, fcma)
+        scores = _select(ds, fcma)
         gt = ground_truth_voxels(cfg)
         top = scores.top(len(gt))
         assert selection_precision(top.voxels, gt) >= 0.7
 
     def test_significance_layer_agrees(self, system):
         cfg, ds, fcma = system
-        scores = serial_voxel_selection(ds, fcma)
+        scores = _select(ds, fcma)
         ordered = np.argsort(scores.voxels)
         accs = scores.accuracies[ordered]
         sig = significant_voxels(accs, n_samples=ds.n_epochs, alpha=0.05)
@@ -56,9 +62,9 @@ class TestROIRecovery:
 class TestExecutionPathsAgree:
     def test_all_three_runtimes_identical(self, system):
         _, ds, fcma = system
-        serial = serial_voxel_selection(ds, fcma)
-        procs = parallel_voxel_selection(ds, fcma, n_workers=2)
-        mpi = mpi_voxel_selection(ds, fcma, n_workers=2)
+        serial = _select(ds, fcma)
+        procs = _select(ds, fcma, ProcessPoolExecutor(n_workers=2))
+        mpi = _select(ds, fcma, MasterWorkerExecutor(n_workers=2))
         np.testing.assert_array_equal(serial.voxels, procs.voxels)
         np.testing.assert_allclose(serial.accuracies, procs.accuracies)
         np.testing.assert_array_equal(serial.voxels, mpi.voxels)
@@ -69,10 +75,8 @@ class TestExecutionPathsAgree:
         equivalently (performance differs; science must not)."""
         cfg, ds, _ = system
         gt = ground_truth_voxels(cfg)
-        opt = serial_voxel_selection(ds, FCMAConfig(task_voxels=60, target_block=64))
-        base = serial_voxel_selection(
-            ds, FCMAConfig(variant="baseline", task_voxels=60)
-        )
+        opt = _select(ds, FCMAConfig(task_voxels=60, target_block=64))
+        base = _select(ds, FCMAConfig(variant="baseline", task_voxels=60))
         k = len(gt)
         prec_opt = selection_precision(opt.top(k).voxels, gt)
         prec_base = selection_precision(base.top(k).voxels, gt)
@@ -84,8 +88,8 @@ class TestPersistencePath:
         cfg, ds, fcma = system
         path = save_dataset(ds, tmp_path / "e2e.npz")
         loaded = load_dataset(path)
-        a = serial_voxel_selection(ds, fcma, voxels=np.arange(20))
-        b = serial_voxel_selection(loaded, fcma, voxels=np.arange(20))
+        a = _select(ds, fcma, voxels=np.arange(20))
+        b = _select(loaded, fcma, voxels=np.arange(20))
         np.testing.assert_allclose(a.accuracies, b.accuracies)
 
 

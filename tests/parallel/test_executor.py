@@ -1,4 +1,4 @@
-"""Tests for the multiprocessing executor."""
+"""Tests for the process-pool executor and its zero-copy dataset sharing."""
 
 import pickle
 
@@ -6,39 +6,48 @@ import numpy as np
 import pytest
 
 from repro.core import FCMAConfig
-from repro.parallel.executor import (
-    _auto_chunksize,
-    _tasks_for,
-    attach_shared_dataset,
-    parallel_voxel_selection,
-    serial_voxel_selection,
-    share_dataset,
-)
+from repro.exec import ProcessPoolExecutor, RunContext, SerialExecutor
+from repro.exec.partition import auto_chunksize, partition_tasks
+from repro.parallel.executor import attach_shared_dataset, share_dataset
+
+
+def _serial(dataset, config, voxels=None):
+    return SerialExecutor().run(dataset, RunContext(config), voxels)
+
+
+def _pool(dataset, config, n_workers, voxels=None):
+    return ProcessPoolExecutor(n_workers=n_workers).run(
+        dataset, RunContext(config), voxels
+    )
 
 
 class TestTaskBuilding:
     def test_default_covers_brain(self, tiny_dataset, fast_fcma_config):
-        tasks = _tasks_for(tiny_dataset, fast_fcma_config, None)
+        tasks = partition_tasks(tiny_dataset.n_voxels, fast_fcma_config.task_voxels)
         assert sum(t.size for t in tasks) == tiny_dataset.n_voxels
 
     def test_explicit_voxels_chunked(self, tiny_dataset):
         cfg = FCMAConfig(task_voxels=3)
-        tasks = _tasks_for(tiny_dataset, cfg, np.arange(8))
+        tasks = partition_tasks(tiny_dataset.n_voxels, cfg.task_voxels, np.arange(8))
         assert [t.size for t in tasks] == [3, 3, 2]
 
     def test_empty_voxels_rejected(self, tiny_dataset, fast_fcma_config):
         with pytest.raises(ValueError):
-            _tasks_for(tiny_dataset, fast_fcma_config, np.array([], dtype=np.int64))
+            partition_tasks(
+                tiny_dataset.n_voxels,
+                fast_fcma_config.task_voxels,
+                np.array([], dtype=np.int64),
+            )
 
 
 class TestSerial:
     def test_scores_sorted(self, tiny_dataset, fast_fcma_config):
-        scores = serial_voxel_selection(tiny_dataset, fast_fcma_config)
+        scores = _serial(tiny_dataset, fast_fcma_config)
         assert len(scores) == tiny_dataset.n_voxels
         assert (np.diff(scores.accuracies) <= 1e-12).all()
 
     def test_subset(self, tiny_dataset, fast_fcma_config):
-        scores = serial_voxel_selection(
+        scores = _serial(
             tiny_dataset, fast_fcma_config, voxels=np.array([1, 5, 9])
         )
         assert set(scores.voxels.tolist()) == {1, 5, 9}
@@ -46,24 +55,23 @@ class TestSerial:
 
 class TestParallel:
     def test_matches_serial(self, tiny_dataset, fast_fcma_config):
-        serial = serial_voxel_selection(tiny_dataset, fast_fcma_config)
-        par = parallel_voxel_selection(tiny_dataset, fast_fcma_config, n_workers=2)
+        serial = _serial(tiny_dataset, fast_fcma_config)
+        par = _pool(tiny_dataset, fast_fcma_config, n_workers=2)
         np.testing.assert_array_equal(serial.voxels, par.voxels)
         np.testing.assert_allclose(serial.accuracies, par.accuracies)
 
     def test_one_worker_falls_back_to_serial(self, tiny_dataset, fast_fcma_config):
-        par = parallel_voxel_selection(tiny_dataset, fast_fcma_config, n_workers=1)
-        serial = serial_voxel_selection(tiny_dataset, fast_fcma_config)
+        par = _pool(tiny_dataset, fast_fcma_config, n_workers=1)
+        serial = _serial(tiny_dataset, fast_fcma_config)
         np.testing.assert_allclose(par.accuracies, serial.accuracies)
 
     def test_bad_worker_count(self, tiny_dataset):
         with pytest.raises(ValueError):
-            parallel_voxel_selection(tiny_dataset, n_workers=0)
+            ProcessPoolExecutor(n_workers=0)
 
     def test_voxel_subset(self, tiny_dataset, fast_fcma_config):
-        par = parallel_voxel_selection(
-            tiny_dataset, fast_fcma_config, n_workers=2,
-            voxels=np.arange(10),
+        par = _pool(
+            tiny_dataset, fast_fcma_config, n_workers=2, voxels=np.arange(10)
         )
         assert len(par) == 10
 
@@ -71,8 +79,8 @@ class TestParallel:
         import dataclasses
 
         cfg = dataclasses.replace(fast_fcma_config, chunksize=2)
-        par = parallel_voxel_selection(tiny_dataset, cfg, n_workers=2)
-        serial = serial_voxel_selection(tiny_dataset, fast_fcma_config)
+        par = _pool(tiny_dataset, cfg, n_workers=2)
+        serial = _serial(tiny_dataset, fast_fcma_config)
         np.testing.assert_allclose(par.accuracies, serial.accuracies)
 
 
@@ -131,8 +139,8 @@ class TestSharedMemory:
 
 class TestChunksize:
     def test_auto_targets_four_chunks_per_worker(self):
-        assert _auto_chunksize(n_tasks=32, n_workers=4) == 2
-        assert _auto_chunksize(n_tasks=33, n_workers=4) == 3
+        assert auto_chunksize(n_tasks=32, n_workers=4) == 2
+        assert auto_chunksize(n_tasks=33, n_workers=4) == 3
 
     def test_auto_never_below_one(self):
-        assert _auto_chunksize(n_tasks=2, n_workers=8) == 1
+        assert auto_chunksize(n_tasks=2, n_workers=8) == 1

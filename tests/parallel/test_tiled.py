@@ -1,4 +1,4 @@
-"""Tests for the 2-D tile-partitioned master-worker protocol."""
+"""Tests for the 2-D tile work plan and the scheduler both plans share."""
 
 from __future__ import annotations
 
@@ -9,22 +9,26 @@ import pytest
 
 from repro.core import FCMAConfig
 from repro.core.pipeline import preprocess_dataset
-from repro.exec import RunContext, make_executor
+from repro.exec import (
+    MasterWorkerExecutor,
+    RunContext,
+    SerialExecutor,
+    make_executor,
+)
 from repro.exec.partition import partition_tiles
 from repro.parallel.comm import Comm, CommGroup, run_ranks
+from repro.exec.partition import partition_tasks
 from repro.parallel.master_worker import (
     TAG_ERROR,
     TAG_REQUEST,
     TAG_RESULT,
     TAG_STOP,
     TAG_TASK,
+    RowWork,
     _master_loop,
+    _worker_loop,
 )
-from repro.parallel.tiled import (
-    compute_tile,
-    tiled_master_loop,
-    tiled_worker_loop,
-)
+from repro.parallel.tiled import TileWork, compute_tile, tiled_worker_loop
 from repro.parallel.transport import TcpListener, TcpTransport
 
 TIMEOUT = 30.0
@@ -48,10 +52,8 @@ def _run_tiled_threads(dataset, config, n_workers, tile_cols=32):
 
     def spmd(comm: Comm):
         if comm.rank == 0:
-            return tiled_master_loop(comm, tiles, z.shape[1], z.shape[0])
-        return tiled_worker_loop(
-            comm, dataset, config, worker_ctxs[comm.rank - 1]
-        )
+            return _master_loop(comm, TileWork(tiles, z.shape[1], z.shape[0]))
+        return tiled_worker_loop(comm, dataset, worker_ctxs[comm.rank - 1])
 
     results = run_ranks(n_workers + 1, spmd, timeout=TIMEOUT)
     return results[0], results[1:], worker_ctxs
@@ -161,7 +163,9 @@ class TestSortedRequeueDeterminism:
         result: list = []
 
         def run_master():
-            result.append(_master_loop(master_comm, tasks, max_retries=2))
+            result.append(
+                _master_loop(master_comm, RowWork(tasks), max_retries=2)
+            )
 
         master = threading.Thread(target=run_master)
         master.start()
@@ -207,19 +211,34 @@ class TestSortedRequeueDeterminism:
         assert len(result[0]) == 40  # every voxel scored exactly once
 
 
-class TestTcpWorkerLoss:
-    def test_killed_worker_mid_tile_retries_on_survivor_bitwise(
-        self, tiny_dataset, config, serial_scores
-    ):
-        """Satellite (c): a TCP worker dying mid-tile loses no bits.
+def _plan_and_worker(dataset, config, partition):
+    """The work plan, worker loop and total item count of one partition."""
+    grouped, z = preprocess_dataset(dataset)
+    if partition == "rows":
+        tasks = partition_tasks(z.shape[1], config.task_voxels)
+        return RowWork(tasks), _worker_loop, len(tasks)
+    tiles = partition_tiles(z.shape[1], config.task_voxels, 32)
+    n_panels = len({t.panel for t in tiles})
+    plan = TileWork(tiles, z.shape[1], z.shape[0])
+    return plan, tiled_worker_loop, len(tiles) + n_panels
 
-        Worker 2 accepts a tile task and then drops its socket without
-        the BYE handshake (a killed process).  The master re-queues the
-        in-flight tile on PEER_LOST; worker 1 finishes everything and
-        the result is bitwise-equal to the failure-free serial run.
+
+class TestTcpWorkerLoss:
+    @pytest.mark.parametrize("partition", ["rows", "tiles"])
+    def test_killed_worker_mid_tile_retries_on_survivor_bitwise(
+        self, tiny_dataset, config, serial_scores, partition
+    ):
+        """A TCP worker dying mid-item loses no bits.
+
+        Worker 2 accepts a work item (a row task or a tile) and then
+        drops its socket without the BYE handshake (a killed process).
+        The master re-queues the in-flight item on PEER_LOST with its
+        attempt refunded; worker 1 finishes everything and the result
+        is bitwise-equal to the failure-free serial run.
         """
-        grouped, z = preprocess_dataset(tiny_dataset)
-        tiles = partition_tiles(z.shape[1], config.task_voxels, 32)
+        plan, worker_loop, n_items = _plan_and_worker(
+            tiny_dataset, config, partition
+        )
 
         listener = TcpListener("127.0.0.1", 0)
         host, port = listener.address
@@ -242,11 +261,7 @@ class TestTcpWorkerLoss:
 
         def run_master():
             try:
-                result.append(
-                    tiled_master_loop(
-                        master_comm, tiles, z.shape[1], z.shape[0]
-                    )
-                )
+                result.append(_master_loop(master_comm, plan))
             except BaseException as exc:  # pragma: no cover - debug aid
                 errors.append(exc)
 
@@ -255,20 +270,21 @@ class TestTcpWorkerLoss:
 
         def run_survivor():
             comm = Comm(transports[1], 1)
-            survivor_done.append(
-                tiled_worker_loop(comm, tiny_dataset, config, survivor_ctx)
-            )
+            survivor_done.append(worker_loop(comm, tiny_dataset, survivor_ctx))
 
         master = threading.Thread(target=run_master)
         master.start()
         try:
-            # The sacrificial worker draws one tile, then "is killed":
-            # its socket dies with the tile still in flight.
+            # The sacrificial worker draws one item, then "is killed":
+            # its socket dies with the item still in flight.
             victim = Comm(transports[2], 2)
             victim.send(None, 0, TAG_REQUEST)
             _, tag, payload = victim.recv(source=0)
             assert tag == TAG_TASK
-            assert payload[0] == "tile"
+            if partition == "tiles":
+                assert payload[0] == "tile"
+            else:
+                assert payload[0] == 0
             sock = transports[2]._master_sock
             assert sock is not None
             sock.close()
@@ -284,10 +300,65 @@ class TestTcpWorkerLoss:
             for t in transports.values():
                 t.close()
 
-        # The survivor completed every item, including the re-queued tile.
-        assert survivor_done == [len(tiles) + 2]
+        # The survivor completed every item, including the re-queued one.
+        assert survivor_done == [n_items]
         scores = result[0]
         np.testing.assert_array_equal(scores.voxels, serial_scores.voxels)
         np.testing.assert_array_equal(
             scores.accuracies, serial_scores.accuracies
         )
+
+
+class TestTilesNeedDense:
+    """Tiles carry dense stage-1/2 arithmetic: other variants fail loudly."""
+
+    def test_sparse_variant_rejected_before_any_rank_starts(
+        self, tiny_dataset, monkeypatch
+    ):
+        import repro.exec.executors as executors_mod
+
+        def no_ranks(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("ranks started")
+
+        monkeypatch.setattr(executors_mod, "run_ranks", no_ranks)
+        config = FCMAConfig(
+            variant="sparse-batched", top_k=8, task_voxels=40, target_block=32
+        )
+        executor = MasterWorkerExecutor(n_workers=2, partition="tiles")
+        with pytest.raises(ValueError, match="partition 'rows'"):
+            executor.run(tiny_dataset, RunContext(config))
+
+    def test_baseline_variant_rejected(self, tiny_dataset):
+        executor = MasterWorkerExecutor(n_workers=2, partition="tiles")
+        with pytest.raises(ValueError, match="dense"):
+            executor.run(
+                tiny_dataset, RunContext(FCMAConfig(variant="baseline"))
+            )
+
+    def test_sparse_variant_rows_still_match_serial(self, tiny_dataset):
+        config = FCMAConfig(
+            variant="sparse-batched", top_k=8, task_voxels=40, target_block=32
+        )
+        serial = SerialExecutor().run(tiny_dataset, RunContext(config))
+        rows = MasterWorkerExecutor(n_workers=2, partition="rows").run(
+            tiny_dataset, RunContext(config)
+        )
+        np.testing.assert_array_equal(serial.voxels, rows.voxels)
+        np.testing.assert_array_equal(serial.accuracies, rows.accuracies)
+
+    def test_cli_prints_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "tiny.npz"
+        assert main([
+            "generate", str(path), "--preset", "quickstart",
+            "--voxels", "48", "--subjects", "3", "--seed", "7",
+        ]) == 0
+        capsys.readouterr()
+        rc = main([
+            "run", str(path), "--executor", "master-worker",
+            "--partition", "tiles", "--variant", "sparse-batched",
+            "--top-k", "8", "--task-voxels", "40",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
